@@ -16,7 +16,6 @@ from tera import (
     init_tera,
     init_vera,
     materialize_delta,
-    tera_param_count,
     trainable_param_count,
     vera_full_rank_param_count,
 )
@@ -52,7 +51,7 @@ print(f"  tera |delta|_F = {np.linalg.norm(delta):.3f}, "
 print("\ntrainable parameters for a 4096x4096 weight update:")
 four_mode = TensorizationScheme((64, 64, 64, 64), split=2)
 binary = TensorizationScheme.two_sided(4096, 4096, 2)
-print(f"  tensor network, 64^4 modes : {tera_param_count(four_mode):6d}")
-print(f"  tensor network, 2^24 modes : {tera_param_count(binary):6d}")
+print(f"  tensor network, 64^4 modes : {four_mode.num_trainable():6d}")
+print(f"  tensor network, 2^24 modes : {binary.num_trainable():6d}")
 print(f"  frozen pair, full-rank r   : {vera_full_rank_param_count(4096, 4096):6d}")
 print(f"  plain low rank r=8         : {8 * (4096 + 4096):6d}")

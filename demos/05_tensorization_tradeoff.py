@@ -17,7 +17,6 @@ from tera import (
     fit_recovery,
     init_tera,
     make_mlp_adapt_task,
-    tera_param_count,
 )
 from tera.training import RecoveryTask
 
@@ -50,7 +49,7 @@ for scheme in schemes:
             res.append(fit_recovery(a, rec, cfg).metrics["final_relative_residual"])
             res_iden.append(fit_recovery(b, rec, cfg).metrics["final_relative_residual"])
     label = "64|" + ",".join(str(m) for m in scheme.mode_sizes[1:])
-    print(f"{label:15s} {tera_param_count(scheme):5d}   "
+    print(f"{label:15s} {scheme.num_trainable():5d}   "
           f"{np.mean(res):.6f}           {np.mean(res_iden):.6f}")
 
 print("\nshallower schemes fit better at the cost of more parameters; the")

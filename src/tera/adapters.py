@@ -10,10 +10,16 @@ initialization, support matrix-vector application without materializing the
 delta where the structure allows it, merge additively into a base weight, and
 round-trip through JSON checkpoints that store only trainable state plus
 enough provenance to regenerate the frozen parts.
+
+Each family is one dataclass with the same methods (``delta``, ``apply``,
+``grads``, ``max_rank``, ``clone``, ``to_doc``, ``from_doc``); the module-level
+functions check their arguments and delegate to them. ``ADAPTER_TYPES`` maps a
+checkpoint's ``adapter_type`` to its class.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import TensorizationScheme, kron_chain, mode_n_product, unfold
+from .tensor_ops import TensorizationScheme, fold, kron_chain, mode_n_product, unfold
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -66,6 +72,53 @@ def synthetic_base_weight(j1, j2, seed):
 
 def _checksum(arr):
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint fields. Documents come from outside the process, so every field
+# a family reads is checked, and any defect raises CheckpointError.
+
+
+def _field(doc, key, valid, expected):
+    value = doc.get(key)
+    if not valid(value):
+        raise CheckpointError(f"field {key!r} must be {expected}, got {value!r:.80}")
+    return value
+
+
+def _int(doc, key, low=0, high=math.inf):
+    return _field(doc, key, lambda v: type(v) is int and low <= v < high,
+                  f"an integer in [{low}, {high})")
+
+
+def _shape(doc, key):
+    return _field(doc, key, lambda v: isinstance(v, list) and len(v) == 2
+                  and all(type(n) is int and n > 0 for n in v), "two positive integers")
+
+
+def _array(value, shape, name):
+    """``value`` as a finite float array of ``shape`` (None matches any size)."""
+    try:
+        arr = np.array(value)
+        ok = arr.dtype.kind in "iuf" and arr.size > 0 and arr.ndim == len(shape) and all(
+            want in (None, got) for want, got in zip(shape, arr.shape))
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        raise CheckpointError(f"{name} must be numbers of shape {shape}, got {value!r:.80}")
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"{name} holds non-finite values")
+    return arr.astype(float)
+
+
+def _store_seed(doc, store, family):
+    """The document's master seed, checked against the store it loads into."""
+    seed = _int(doc, "master_seed")
+    if store is None:
+        raise CheckpointError(f"{family} checkpoints need a frozen-factor store")
+    if store.master_seed != seed:
+        raise CheckpointError(f"store master_seed {store.master_seed} != checkpoint's {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -121,6 +174,11 @@ class FrozenFactorStore:
         )
 
 
+# ---------------------------------------------------------------------------
+# The four families. ``delta(path)`` ignores ``path`` outside the tensor
+# network, which is the only family with two materialization paths.
+
+
 @dataclass(eq=False)
 class TeraAdapter:
     """Frozen random tensor network scaled by trainable diagonal vectors.
@@ -155,6 +213,65 @@ class TeraAdapter:
     def trainable_arrays(self):
         return list(self.d_vectors)
 
+    def delta(self, path="mode"):
+        if path == "mode":
+            return _tera_delta_mode_products(self)
+        if path == "kron":
+            return _tera_delta_kronecker(self)
+        raise ValueError(f"unknown materialization path {path!r}")
+
+    def apply(self, x):
+        # Fold x over the column modes, contract each with diag(d) @ factor,
+        # absorb the core, then expand the row modes.
+        k, order = self.scheme.split, self.scheme.order
+        z = x.reshape(self.scheme.mode_sizes[k:])
+        if z.ndim == 0:
+            z = z.reshape(1)
+        for j in range(order - k):
+            s = self.d_vectors[k + j][:, None] * self.factor(k + j)
+            z = mode_n_product(z, s, j)
+        t = np.tensordot(
+            self.core, z, axes=(tuple(range(k, order)), tuple(range(order - k)))
+        )
+        for i in range(k):
+            t = mode_n_product(t, self.factor(i).T * self.d_vectors[i], i)
+        return t.ravel()
+
+    def grads(self, upstream):
+        return tera_gradient(self, upstream)
+
+    def max_rank(self):
+        s = self.scheme
+        return min(s.rank_rows, s.rank_cols, *self.shape)
+
+    def clone(self):
+        return dataclasses.replace(self, d_vectors=[d.copy() for d in self.d_vectors])
+
+    def to_doc(self):
+        return dict(
+            adapter_type="tera", scheme=self.scheme.to_dict(),
+            master_seed=self.master_seed, zero_init_mode=self.zero_init_mode,
+            identity_factors=self.identity_factors,
+            d_vectors=[d.tolist() for d in self.d_vectors],
+        )
+
+    @classmethod
+    def from_doc(cls, doc, store=None, base_weight=None):
+        try:
+            scheme = TensorizationScheme.from_dict(doc.get("scheme"))
+        except ValueError as exc:
+            raise CheckpointError(f"bad scheme in checkpoint: {exc}") from exc
+        master_seed = _store_seed(doc, store, "tera")
+        zero_init_mode = _int(doc, "zero_init_mode", high=scheme.order)
+        identity = _field(doc, "identity_factors", lambda v: type(v) is bool, "boolean")
+        if identity and not scheme.full_rank:
+            raise CheckpointError("identity factors require ranks equal to mode sizes")
+        raw = _field(doc, "d_vectors", lambda v: isinstance(v, list)
+                     and len(v) == scheme.order, f"a list of {scheme.order} vectors")
+        d_vectors = [_array(d, (r,), "d vector") for d, r in zip(raw, scheme.ranks)]
+        entry = store.tera_entry(scheme)
+        return cls(scheme, entry, d_vectors, zero_init_mode, master_seed, identity)
+
 
 @dataclass(eq=False)
 class LoraAdapter:
@@ -172,6 +289,31 @@ class LoraAdapter:
 
     def trainable_arrays(self):
         return [self.a, self.b]
+
+    def delta(self, path="mode"):
+        return self.a @ self.b
+
+    def apply(self, x):
+        return self.a @ (self.b @ x)
+
+    def grads(self, upstream):
+        return [upstream @ self.b.T, self.a.T @ upstream]
+
+    def max_rank(self):
+        return min(self.rank, *self.shape)
+
+    def clone(self):
+        return dataclasses.replace(self, a=self.a.copy(), b=self.b.copy())
+
+    def to_doc(self):
+        return dict(adapter_type="lora", rank=self.rank, a=self.a.tolist(),
+                    b=self.b.tolist())
+
+    @classmethod
+    def from_doc(cls, doc, store=None, base_weight=None):
+        rank = _int(doc, "rank", low=1)
+        a = _array(doc.get("a"), (None, rank), "a")
+        return cls(a, _array(doc.get("b"), (rank, None), "b"), rank)
 
 
 @dataclass(eq=False)
@@ -194,6 +336,41 @@ class VeraAdapter:
 
     def trainable_arrays(self):
         return [self.b, self.d]
+
+    def delta(self, path="mode"):
+        return self.b[:, None] * (self.b_frozen @ (self.d[:, None] * self.a_frozen))
+
+    def apply(self, x):
+        return self.b * (self.b_frozen @ (self.d * (self.a_frozen @ x)))
+
+    def grads(self, upstream):
+        mixed = self.b_frozen @ (self.d[:, None] * self.a_frozen)
+        grad_b = (upstream * mixed).sum(axis=1)
+        grad_d = ((self.b_frozen.T * self.b) @ upstream * self.a_frozen).sum(axis=1)
+        return [grad_b, grad_d]
+
+    def max_rank(self):
+        return min(self.rank, *self.shape)
+
+    def clone(self):
+        return dataclasses.replace(self, b=self.b.copy(), d=self.d.copy())
+
+    def to_doc(self):
+        return dict(
+            adapter_type="vera", shape=list(self.shape), rank=self.rank,
+            master_seed=self.master_seed, d_init=self.d_init,
+            b=self.b.tolist(), d=self.d.tolist(),
+        )
+
+    @classmethod
+    def from_doc(cls, doc, store=None, base_weight=None):
+        master_seed = _store_seed(doc, store, "vera")
+        j1, j2 = _shape(doc, "shape")
+        rank = _int(doc, "rank", low=1)
+        d_init = _field(doc, "d_init", lambda v: type(v) in (int, float)
+                        and math.isfinite(v), "a finite number")
+        b, d = _array(doc.get("b"), (j1,), "b"), _array(doc.get("d"), (rank,), "d")
+        return cls(*store.vera_pair(j1, j2, rank), b, d, rank, master_seed, d_init)
 
 
 @dataclass(eq=False)
@@ -219,6 +396,63 @@ class HiraAdapter:
 
     def trainable_arrays(self):
         return [self.a, self.b]
+
+    def delta(self, path="mode"):
+        return (self.a @ self.b) * self.w0
+
+    def apply(self, x):
+        # The Hadamard mask offers no factored route, so this materializes.
+        return materialize_delta(self) @ x
+
+    def grads(self, upstream):
+        masked = upstream * self.w0
+        return [masked @ self.b.T, self.a.T @ masked]
+
+    def max_rank(self):
+        return min(self.shape)  # the element-wise product can reach full rank
+
+    def clone(self):
+        return dataclasses.replace(self, a=self.a.copy(), b=self.b.copy())
+
+    def to_doc(self):
+        w0 = dict(shape=list(self.w0.shape), checksum=_checksum(self.w0))
+        return dict(
+            adapter_type="hira", rank=self.rank, a=self.a.tolist(), b=self.b.tolist(),
+            w0=dict(w0, provenance=self.w0_provenance),
+        )
+
+    @classmethod
+    def from_doc(cls, doc, store=None, base_weight=None):
+        meta = _field(doc, "w0", lambda v: isinstance(v, dict), "an object")
+        j1, j2 = _shape(meta, "shape")
+        checksum = _field(meta, "checksum", lambda v: isinstance(v, str), "a string")
+        provenance = _field(meta, "provenance", lambda v: v is None or isinstance(v, dict),
+                            "an object or null")
+        rank = _int(doc, "rank", low=1)
+        a, b = _array(doc.get("a"), (j1, rank), "a"), _array(doc.get("b"), (rank, j2), "b")
+        if base_weight is not None:
+            w0 = np.asarray(base_weight, dtype=float)
+        elif provenance is not None and provenance.get("kind") == "synthetic":
+            w0 = synthetic_base_weight(j1, j2, _int(provenance, "seed"))
+        else:
+            raise CheckpointError(
+                "hira checkpoint has no synthetic provenance; pass base_weight"
+            )
+        if w0.shape != (j1, j2):
+            raise CheckpointError(f"base weight shape {w0.shape} != {(j1, j2)}")
+        if _checksum(w0) != checksum:
+            raise CheckpointError("base weight does not match recorded checksum")
+        return cls(a, b, w0, rank, provenance)
+
+
+# A new family is one class with the methods above plus its entry here.
+ADAPTER_TYPES = {c.family: c for c in (TeraAdapter, LoraAdapter, VeraAdapter, HiraAdapter)}
+
+
+def _checked(adapter):
+    if getattr(adapter, "family", None) not in ADAPTER_TYPES:
+        raise TypeError(f"not an adapter: {type(adapter).__name__}")
+    return adapter
 
 
 def init_tera(j1, j2, scheme, store, zero_init_mode=None, identity_factors=False):
@@ -312,6 +546,40 @@ def _tera_delta_kronecker(a: TeraAdapter):
     return left @ unfold(core_scaled, k) @ right.T
 
 
+def tera_gradient(adapter: TeraAdapter, upstream: np.ndarray):
+    """Gradients of <upstream, delta> with respect to each d vector.
+
+    Fold the upstream matrix, pull it through every frozen factor, multiply
+    by the core, and for mode i scale by every other mode's d vector and sum
+    the remaining axes. No division by d entries anywhere, so zero-initialized
+    vectors are safe, and a zero core slice yields an exactly zero gradient
+    entry.
+    """
+    upstream = np.asarray(upstream, dtype=float)
+    if upstream.shape != adapter.shape:
+        raise ValueError(
+            f"upstream gradient shape {upstream.shape} != delta shape {adapter.shape}"
+        )
+    scheme = adapter.scheme
+    folded = fold(upstream, scheme)
+    pulled = folded
+    for m in range(scheme.order):
+        pulled = mode_n_product(pulled, adapter.factor(m), m)
+    weighted = adapter.core * pulled
+    grads = []
+    for i in range(scheme.order):
+        scaled = weighted
+        for m in range(scheme.order):
+            if m == i:
+                continue
+            shape = [1] * scheme.order
+            shape[m] = -1
+            scaled = scaled * adapter.d_vectors[m].reshape(shape)
+        axes = tuple(m for m in range(scheme.order) if m != i)
+        grads.append(scaled.sum(axis=axes))
+    return grads
+
+
 def materialize_delta(adapter, path="mode"):
     """Dense delta matrix of any adapter.
 
@@ -320,21 +588,7 @@ def materialize_delta(adapter, path="mode"):
     Kronecker-factor matrices and sandwiches the rescaled, unfolded core.
     They must agree to 1e-10 relative; tests enforce this.
     """
-    if isinstance(adapter, TeraAdapter):
-        if path == "mode":
-            return _tera_delta_mode_products(adapter)
-        if path == "kron":
-            return _tera_delta_kronecker(adapter)
-        raise ValueError(f"unknown materialization path {path!r}")
-    if isinstance(adapter, LoraAdapter):
-        return adapter.a @ adapter.b
-    if isinstance(adapter, VeraAdapter):
-        return adapter.b[:, None] * (
-            adapter.b_frozen @ (adapter.d[:, None] * adapter.a_frozen)
-        )
-    if isinstance(adapter, HiraAdapter):
-        return (adapter.a @ adapter.b) * adapter.w0
-    raise TypeError(f"not an adapter: {type(adapter).__name__}")
+    return _checked(adapter).delta(path)
 
 
 def apply_delta(adapter, x):
@@ -345,30 +599,10 @@ def apply_delta(adapter, x):
     The Hadamard family offers no factored route, so it materializes.
     """
     x = np.asarray(x, dtype=float)
-    j1, j2 = adapter.shape
+    j1, j2 = _checked(adapter).shape
     if x.shape != (j2,):
         raise ValueError(f"expected a length-{j2} vector, got shape {x.shape}")
-    if isinstance(adapter, TeraAdapter):
-        k, order = adapter.scheme.split, adapter.scheme.order
-        z = x.reshape(adapter.scheme.mode_sizes[k:])
-        if z.ndim == 0:
-            z = z.reshape(1)
-        for j in range(order - k):
-            s = adapter.d_vectors[k + j][:, None] * adapter.factor(k + j)
-            z = mode_n_product(z, s, j)
-        t = np.tensordot(
-            adapter.core, z, axes=(tuple(range(k, order)), tuple(range(order - k)))
-        )
-        for i in range(k):
-            t = mode_n_product(t, adapter.factor(i).T * adapter.d_vectors[i], i)
-        return t.ravel()
-    if isinstance(adapter, LoraAdapter):
-        return adapter.a @ (adapter.b @ x)
-    if isinstance(adapter, VeraAdapter):
-        return adapter.b * (adapter.b_frozen @ (adapter.d * (adapter.a_frozen @ x)))
-    if isinstance(adapter, HiraAdapter):
-        return materialize_delta(adapter) @ x
-    raise TypeError(f"not an adapter: {type(adapter).__name__}")
+    return adapter.apply(x)
 
 
 def merge(adapter, w0):
@@ -385,17 +619,12 @@ def trainable_param_count(adapter) -> int:
 
 
 # Pure-arithmetic counts, usable without allocating any adapter state. The
-# 2^24-mode scheme has a 16M-entry core, so counting must never build one.
-
-def tera_param_count(scheme: TensorizationScheme) -> int:
-    return sum(scheme.ranks)
+# 2^24-mode scheme has a 16M-entry core, so counting must never build one;
+# the tensor-network count is TensorizationScheme.num_trainable().
 
 
 def lora_param_count(j1, j2, rank) -> int:
-    return rank * (j1 + j2)
-
-
-def hira_param_count(j1, j2, rank) -> int:
+    """Trainable count of the plain and the Hadamard-masked low-rank families."""
     return rank * (j1 + j2)
 
 
@@ -419,36 +648,7 @@ def vera_rank_for_budget(j1, budget) -> int:
 
 def clone_trainable(adapter):
     """Copy of an adapter with fresh trainable arrays and shared frozen parts."""
-    if isinstance(adapter, TeraAdapter):
-        return TeraAdapter(
-            scheme=adapter.scheme,
-            entry=adapter.entry,
-            d_vectors=[d.copy() for d in adapter.d_vectors],
-            zero_init_mode=adapter.zero_init_mode,
-            master_seed=adapter.master_seed,
-            identity_factors=adapter.identity_factors,
-        )
-    if isinstance(adapter, LoraAdapter):
-        return LoraAdapter(a=adapter.a.copy(), b=adapter.b.copy(), rank=adapter.rank)
-    if isinstance(adapter, VeraAdapter):
-        return VeraAdapter(
-            b_frozen=adapter.b_frozen,
-            a_frozen=adapter.a_frozen,
-            b=adapter.b.copy(),
-            d=adapter.d.copy(),
-            rank=adapter.rank,
-            master_seed=adapter.master_seed,
-            d_init=adapter.d_init,
-        )
-    if isinstance(adapter, HiraAdapter):
-        return HiraAdapter(
-            a=adapter.a.copy(),
-            b=adapter.b.copy(),
-            w0=adapter.w0,
-            rank=adapter.rank,
-            w0_provenance=adapter.w0_provenance,
-        )
-    raise TypeError(f"not an adapter: {type(adapter).__name__}")
+    return _checked(adapter).clone()
 
 
 def save_checkpoint(adapter, path):
@@ -456,56 +656,16 @@ def save_checkpoint(adapter, path):
 
     Floats go through repr-level JSON encoding, which round-trips 64-bit
     values exactly. Frozen tensors are regenerated at load time from seeds,
-    never stored by value.
+    never stored by value. Non-finite values are refused before anything is
+    written: JSON has no token for them.
     """
-    doc = {"format_version": CHECKPOINT_FORMAT_VERSION}
-    if isinstance(adapter, TeraAdapter):
-        doc.update(
-            adapter_type="tera",
-            scheme={
-                "mode_sizes": list(adapter.scheme.mode_sizes),
-                "split": adapter.scheme.split,
-                "ranks": list(adapter.scheme.ranks),
-            },
-            master_seed=adapter.master_seed,
-            zero_init_mode=adapter.zero_init_mode,
-            identity_factors=adapter.identity_factors,
-            d_vectors=[d.tolist() for d in adapter.d_vectors],
-        )
-    elif isinstance(adapter, LoraAdapter):
-        doc.update(
-            adapter_type="lora",
-            rank=adapter.rank,
-            a=adapter.a.tolist(),
-            b=adapter.b.tolist(),
-        )
-    elif isinstance(adapter, VeraAdapter):
-        doc.update(
-            adapter_type="vera",
-            shape=list(adapter.shape),
-            rank=adapter.rank,
-            master_seed=adapter.master_seed,
-            d_init=adapter.d_init,
-            b=adapter.b.tolist(),
-            d=adapter.d.tolist(),
-        )
-    elif isinstance(adapter, HiraAdapter):
-        doc.update(
-            adapter_type="hira",
-            rank=adapter.rank,
-            a=adapter.a.tolist(),
-            b=adapter.b.tolist(),
-            w0={
-                "shape": list(adapter.w0.shape),
-                "checksum": _checksum(adapter.w0),
-                "provenance": adapter.w0_provenance,
-            },
-        )
-    else:
-        raise TypeError(f"not an adapter: {type(adapter).__name__}")
+    doc = {"format_version": CHECKPOINT_FORMAT_VERSION, **_checked(adapter).to_doc()}
+    try:
+        text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise CheckpointError(f"cannot save {adapter.family} adapter: {exc}") from exc
     with open(path, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def load_checkpoint(path, store=None, base_weight=None):
@@ -514,80 +674,20 @@ def load_checkpoint(path, store=None, base_weight=None):
     Families with store-resident frozen parts need `store`, and its master
     seed must match the one recorded at save time. The Hadamard family needs
     either synthetic provenance in the file or an explicit `base_weight`,
-    which is verified against the recorded checksum.
+    which is verified against the recorded checksum. Any malformed or
+    inconsistent document raises CheckpointError.
     """
     try:
         with open(path) as f:
             doc = json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint format_version {doc.get('format_version')!r}"
-        )
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} does not hold a JSON object")
+    version = doc.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint format_version {version!r}")
     kind = doc.get("adapter_type")
-    if kind in ("tera", "vera"):
-        if store is None:
-            raise CheckpointError(f"{kind} checkpoints need a frozen-factor store")
-        if store.master_seed != doc["master_seed"]:
-            raise CheckpointError(
-                f"store master_seed {store.master_seed} != checkpoint "
-                f"master_seed {doc['master_seed']}"
-            )
-    if kind == "tera":
-        s = doc["scheme"]
-        scheme = TensorizationScheme(
-            tuple(s["mode_sizes"]), s["split"], tuple(s["ranks"])
-        )
-        adapter = TeraAdapter(
-            scheme=scheme,
-            entry=store.tera_entry(scheme),
-            d_vectors=[np.array(d, dtype=float) for d in doc["d_vectors"]],
-            zero_init_mode=doc["zero_init_mode"],
-            master_seed=doc["master_seed"],
-            identity_factors=doc["identity_factors"],
-        )
-        for d, r in zip(adapter.d_vectors, scheme.ranks):
-            if d.shape != (r,):
-                raise CheckpointError("d vector length does not match scheme ranks")
-        return adapter
-    if kind == "lora":
-        a = np.array(doc["a"], dtype=float)
-        b = np.array(doc["b"], dtype=float)
-        return LoraAdapter(a=a, b=b, rank=doc["rank"])
-    if kind == "vera":
-        j1, j2 = doc["shape"]
-        b_frozen, a_frozen = store.vera_pair(j1, j2, doc["rank"])
-        return VeraAdapter(
-            b_frozen=b_frozen,
-            a_frozen=a_frozen,
-            b=np.array(doc["b"], dtype=float),
-            d=np.array(doc["d"], dtype=float),
-            rank=doc["rank"],
-            master_seed=doc["master_seed"],
-            d_init=doc["d_init"],
-        )
-    if kind == "hira":
-        meta = doc["w0"]
-        j1, j2 = meta["shape"]
-        provenance = meta["provenance"]
-        if base_weight is not None:
-            w0 = np.asarray(base_weight, dtype=float)
-        elif provenance is not None and provenance.get("kind") == "synthetic":
-            w0 = synthetic_base_weight(j1, j2, provenance["seed"])
-        else:
-            raise CheckpointError(
-                "hira checkpoint has no synthetic provenance; pass base_weight"
-            )
-        if w0.shape != (j1, j2):
-            raise CheckpointError(f"base weight shape {w0.shape} != {(j1, j2)}")
-        if _checksum(w0) != meta["checksum"]:
-            raise CheckpointError("base weight does not match recorded checksum")
-        return HiraAdapter(
-            a=np.array(doc["a"], dtype=float),
-            b=np.array(doc["b"], dtype=float),
-            w0=w0,
-            rank=doc["rank"],
-            w0_provenance=provenance,
-        )
-    raise CheckpointError(f"unknown adapter_type {kind!r}")
+    if not isinstance(kind, str) or kind not in ADAPTER_TYPES:
+        raise CheckpointError(f"unknown adapter_type {kind!r}")
+    return ADAPTER_TYPES[kind].from_doc(doc, store=store, base_weight=base_weight)

@@ -23,10 +23,8 @@ import numpy as np
 
 from .adapters import (
     FrozenFactorStore,
-    HiraAdapter,
-    LoraAdapter,
     TeraAdapter,
-    VeraAdapter,
+    _checked,
     clone_trainable,
     init_tera,
     materialize_delta,
@@ -66,14 +64,6 @@ def _py(value):
     if isinstance(value, (np.floating, float)):
         return float(value)
     return value
-
-
-def _scheme_dict(scheme: TensorizationScheme) -> dict:
-    return {
-        "mode_sizes": list(scheme.mode_sizes),
-        "split": scheme.split,
-        "ranks": list(scheme.ranks),
-    }
 
 
 @dataclass
@@ -144,7 +134,7 @@ def verify_rank_bound(scheme: TensorizationScheme, trials: int, seed=0) -> Bound
     verdict = "holds" if violations == 0 else "violated"
     return BoundReport(
         bound_id=RANK_BOUND,
-        instance={"scheme": _scheme_dict(scheme), "trials": trials, "seed": seed},
+        instance={"scheme": scheme.to_dict(), "trials": trials, "seed": seed},
         lhs=float(max_seen),
         rhs=float(bound),
         terms={
@@ -329,7 +319,7 @@ def verify_expressivity_bound(
         bound_id=EXPRESSIVITY_BOUND,
         instance={
             "shape": list(adapter.shape),
-            "scheme": _scheme_dict(scheme),
+            "scheme": scheme.to_dict(),
             "master_seed": adapter.master_seed,
             "identity_factors": adapter.identity_factors,
         },
@@ -355,16 +345,7 @@ def verify_expressivity_bound(
 
 def structural_max_rank(adapter) -> int:
     """Largest numerical rank the adapter's construction permits."""
-    j1, j2 = adapter.shape
-    if isinstance(adapter, TeraAdapter):
-        s = adapter.scheme
-        return min(s.rank_rows, s.rank_cols, j1, j2)
-    if isinstance(adapter, (LoraAdapter, VeraAdapter, HiraAdapter)):
-        cap = min(j1, j2)
-        if isinstance(adapter, HiraAdapter):
-            return cap  # the element-wise product can reach full rank
-        return min(adapter.rank, cap)
-    raise TypeError(f"not an adapter: {type(adapter).__name__}")
+    return _checked(adapter).max_rank()
 
 
 @dataclass

@@ -24,15 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import (
+    CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
     FrozenFactorStore,
-    hira_param_count,
     init_tera,
     load_checkpoint,
     lora_param_count,
     save_checkpoint,
     synthetic_base_weight,
-    tera_param_count,
     trainable_param_count,
     vera_full_rank_param_count,
     vera_param_count,
@@ -208,12 +207,12 @@ def cmd_param_count(args):
     _require_match(scheme, j1, j2)
     rank = args.rank
     rows = [
-        ("tera", tera_param_count(scheme), format_scheme(scheme)),
-        ("tera_iden", tera_param_count(scheme), format_scheme(scheme)),
+        ("tera", scheme.num_trainable(), format_scheme(scheme)),
+        ("tera_iden", scheme.num_trainable(), format_scheme(scheme)),
         ("lora", lora_param_count(j1, j2, rank), f"r={rank}"),
         ("vera", vera_param_count(j1, rank), f"r={rank}"),
         ("vera_full_rank", vera_full_rank_param_count(j1, j2), "r=min(J1,J2)"),
-        ("hira", hira_param_count(j1, j2, rank), f"r={rank}"),
+        ("hira", lora_param_count(j1, j2, rank), f"r={rank}"),
     ]
     _print_table([list(r) for r in rows], ["family", "params", "detail"])
     if args.out:
@@ -245,7 +244,7 @@ def _resolve_vera_budget(args, j1):
             EXIT_CONFIG,
             f"bad --match-budget-of {args.match_budget_of!r}; expected tera:SCHEME",
         )
-    budget = tera_param_count(parse_scheme(spec, args.split))
+    budget = parse_scheme(spec, args.split).num_trainable()
     rank = vera_rank_for_budget(j1, budget)
     achieved = vera_param_count(j1, rank)
     if abs(achieved - budget) > 1:
@@ -255,6 +254,19 @@ def _resolve_vera_budget(args, j1):
             f"(closest is {achieved})",
         )
     return rank
+
+
+def _diverged(exc, args, out):
+    """Write what a diverged fit left behind; return the error to raise."""
+    if exc.report is not None:
+        write_report_json(exc.report, out / "report.json")
+        write_loss_csv(exc.report, out / "loss.csv")
+    write_resolved_config(out, "fit", args)
+    return CliError(
+        EXIT_DIVERGED,
+        f"diverged at step {exc.step} (loss {exc.loss:.3e}); "
+        f"partial report written to {out}",
+    )
 
 
 def _fit_recovery(args, out):
@@ -294,15 +306,7 @@ def _fit_recovery(args, out):
     try:
         report = fit_recovery(adapter, task, cfg)
     except DivergenceError as exc:
-        if exc.report is not None:
-            write_report_json(exc.report, out / "report.json")
-            write_loss_csv(exc.report, out / "loss.csv")
-        write_resolved_config(out, "fit", args)
-        raise CliError(
-            EXIT_DIVERGED,
-            f"diverged at step {exc.step} (loss {exc.loss:.3e}); "
-            f"partial report written to {out}",
-        )
+        raise _diverged(exc, args, out)
     write_report_json(report, out / "report.json")
     write_loss_csv(report, out / "loss.csv")
     save_checkpoint(adapter, out / "checkpoint.json")
@@ -341,15 +345,7 @@ def _fit_mlp(args, out):
             adapter_seed=args.adapter_seed,
         )
     except DivergenceError as exc:
-        if exc.report is not None:
-            write_report_json(exc.report, out / "report.json")
-            write_loss_csv(exc.report, out / "loss.csv")
-        write_resolved_config(out, "fit", args)
-        raise CliError(
-            EXIT_DIVERGED,
-            f"diverged at step {exc.step} (loss {exc.loss:.3e}); "
-            f"partial report written to {out}",
-        )
+        raise _diverged(exc, args, out)
     write_report_json(report, out / "report.json")
     write_loss_csv(report, out / "loss.csv")
     for layer, adapter in adapters.items():
@@ -383,33 +379,36 @@ def cmd_fit(args):
 
 
 def _load_any_checkpoint(path, task_cache):
-    """Load a checkpoint of any family, regenerating frozen parts."""
+    """Load a checkpoint of any family, regenerating frozen parts from the
+    recorded master seed or MLP provenance; ``load_checkpoint`` validates."""
     if not path.exists():
         raise CliError(EXIT_MISSING, f"checkpoint not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_CONFIG, f"corrupt checkpoint {path}: {exc}")
-    kind = doc.get("adapter_type")
-    store = None
+    doc = doc if isinstance(doc, dict) else {}
+    seed = doc.get("master_seed")
+    store = FrozenFactorStore(seed) if type(seed) is int and seed >= 0 else None
+    w0_meta = doc.get("w0")
+    provenance = w0_meta.get("provenance") if isinstance(w0_meta, dict) else None
     base_weight = None
-    if kind in ("tera", "vera"):
-        store = FrozenFactorStore(doc["master_seed"])
-    if kind == "hira":
-        provenance = (doc.get("w0") or {}).get("provenance")
-        if provenance and provenance.get("kind") == "mlp_layer":
+    if isinstance(provenance, dict) and provenance.get("kind") == "mlp_layer":
+        try:
             key = json.dumps(provenance["task"], sort_keys=True)
             if key not in task_cache:
                 kwargs = dict(provenance["task"])
                 kwargs["layer_sizes"] = tuple(kwargs["layer_sizes"])
                 task_cache[key] = make_mlp_adapt_task(**kwargs)
             base_weight = task_cache[key].base_weights[provenance["layer"]]
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise CliError(EXIT_CONFIG, f"cannot rebuild the base weight of {path}: {exc!r}")
     try:
         adapter = load_checkpoint(path, store=store, base_weight=base_weight)
     except CheckpointError as exc:
         raise CliError(EXIT_CONFIG, f"cannot load {path}: {exc}")
-    family = kind
-    if kind == "tera" and doc.get("identity_factors"):
+    family = adapter.family
+    if family == "tera" and adapter.identity_factors:
         family = "tera_iden"
     return adapter, family
 
@@ -615,9 +614,8 @@ def cmd_ablate(args):
 def cmd_checkpoint_inspect(args):
     path = Path(args.path)
     adapter, family = _load_any_checkpoint(path, {})
-    doc = json.loads(path.read_text())
     print(f"file: {path}")
-    print(f"format_version: {doc['format_version']}")
+    print(f"format_version: {CHECKPOINT_FORMAT_VERSION}")
     print(f"family: {family}")
     print(f"shape: {adapter.shape[0]}x{adapter.shape[1]}")
     print(f"trainable_params: {trainable_param_count(adapter)}")
@@ -627,11 +625,10 @@ def cmd_checkpoint_inspect(args):
         print(f"zero_init_mode: {adapter.zero_init_mode}")
         norms = ",".join(f"{float(np.linalg.norm(d)):.6g}" for d in adapter.d_vectors)
         print(f"d_vector_norms: {norms}")
-    elif family == "vera":
-        print(f"rank: {adapter.rank}")
-        print(f"master_seed: {adapter.master_seed}")
     else:
         print(f"rank: {adapter.rank}")
+    if family == "vera":
+        print(f"master_seed: {adapter.master_seed}")
     if family == "hira" and adapter.w0_provenance:
         print(f"w0_provenance: {json.dumps(adapter.w0_provenance, sort_keys=True)}")
     return EXIT_OK

@@ -93,6 +93,26 @@ class TensorizationScheme:
         """Trainable parameters of the adapter this scheme describes: sum of ranks."""
         return sum(self.ranks)
 
+    def to_dict(self) -> dict:
+        """JSON form, as stored in checkpoints and echoed into reports."""
+        return {
+            "mode_sizes": list(self.mode_sizes),
+            "split": self.split,
+            "ranks": list(self.ranks),
+        }
+
+    @classmethod
+    def from_dict(cls, doc) -> "TensorizationScheme":
+        """Inverse of :meth:`to_dict`; ValueError on anything else."""
+        try:
+            sizes, split, ranks = doc["mode_sizes"], doc["split"], doc["ranks"]
+            ok = all(type(v) is int for v in [split, *sizes, *ranks])
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            raise ValueError(f"need integer mode_sizes, split and ranks, got {doc!r:.80}")
+        return cls(tuple(sizes), split, tuple(ranks))
+
     def matches(self, j1: int, j2: int) -> bool:
         return self.rows == j1 and self.cols == j2
 
@@ -172,26 +192,13 @@ def mode_n_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndar
     return np.moveaxis(out, 0, mode)
 
 
-def multi_mode_product(tensor: np.ndarray, matrices) -> np.ndarray:
-    """Apply one matrix per mode; ``None`` entries leave that mode untouched."""
-    out = tensor
-    for mode, matrix in enumerate(matrices):
-        if matrix is not None:
-            out = mode_n_product(out, matrix, mode)
-    return out
-
-
-def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor most significant.
-
-    ``(a kron b)[i*rows(b)+j, p*cols(b)+q] = a[i,p] * b[j,q]``, matching the
-    row-major multi-index linearization used by :func:`unfold`.
-    """
-    return np.kron(a, b)
-
-
 def kron_chain(matrices) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
+    """Kronecker product of a sequence of matrices, left to right.
+
+    The left factor is most significant, ``kron_chain([a, b])[i*rows(b)+j,
+    p*cols(b)+q] = a[i,p] * b[j,q]``, matching the row-major multi-index
+    linearization used by :func:`unfold`.
+    """
     matrices = list(matrices)
     if not matrices:
         raise ValueError("kron_chain needs at least one matrix")
@@ -201,16 +208,6 @@ def kron_chain(matrices) -> np.ndarray:
 def frobenius_norm(tensor: np.ndarray) -> float:
     """Square root of the sum of squared entries."""
     return float(np.linalg.norm(np.ravel(tensor)))
-
-
-def svd(matrix: np.ndarray):
-    """Thin SVD returning ``(U, s, V)`` with ``matrix = U @ diag(s) @ V.T``.
-
-    Singular values are in descending order. Non-convergence raises
-    ``numpy.linalg.LinAlgError`` rather than returning silently wrong factors.
-    """
-    u, s, vh = np.linalg.svd(np.asarray(matrix, dtype=float), full_matrices=False)
-    return u, s, vh.T
 
 
 def pseudoinverse(matrix: np.ndarray, rel_cutoff: float = 1e-12) -> np.ndarray:

@@ -16,6 +16,7 @@ tensor-network family, used by the expressivity-bound verifier.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -24,19 +25,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapters import (
-    HiraAdapter,
-    LoraAdapter,
     TeraAdapter,
-    VeraAdapter,
+    _checked,
     clone_trainable,
     init_hira,
     init_lora,
     init_tera,
     init_vera,
     materialize_delta,
+    tera_gradient,
     trainable_param_count,
 )
-from .tensor_ops import TensorizationScheme, fold, mode_n_product, numerical_rank
+from .tensor_ops import TensorizationScheme, numerical_rank
 
 REPORT_FORMAT_VERSION = 1
 
@@ -58,59 +58,11 @@ class DivergenceError(RuntimeError):
 # Gradients
 
 
-def tera_gradient(adapter: TeraAdapter, upstream: np.ndarray):
-    """Gradients of <upstream, delta> with respect to each d vector.
-
-    Fold the upstream matrix, pull it through every frozen factor, multiply
-    by the core, and for mode i scale by every other mode's d vector and sum
-    the remaining axes. No division by d entries anywhere, so zero-initialized
-    vectors are safe, and a zero core slice yields an exactly zero gradient
-    entry.
-    """
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != adapter.shape:
-        raise ValueError(
-            f"upstream gradient shape {upstream.shape} != delta shape {adapter.shape}"
-        )
-    scheme = adapter.scheme
-    folded = fold(upstream, scheme)
-    pulled = folded
-    for m in range(scheme.order):
-        pulled = mode_n_product(pulled, adapter.factor(m), m)
-    weighted = adapter.core * pulled
-    grads = []
-    for i in range(scheme.order):
-        scaled = weighted
-        for m in range(scheme.order):
-            if m == i:
-                continue
-            shape = [1] * scheme.order
-            shape[m] = -1
-            scaled = scaled * adapter.d_vectors[m].reshape(shape)
-        axes = tuple(m for m in range(scheme.order) if m != i)
-        grads.append(scaled.sum(axis=axes))
-    return grads
-
-
 def delta_gradient(adapter, upstream: np.ndarray):
     """Gradients of <upstream, delta> for the adapter's trainable arrays,
-    in the same order as ``trainable_arrays()``."""
-    upstream = np.asarray(upstream, dtype=float)
-    if isinstance(adapter, TeraAdapter):
-        return tera_gradient(adapter, upstream)
-    if isinstance(adapter, LoraAdapter):
-        return [upstream @ adapter.b.T, adapter.a.T @ upstream]
-    if isinstance(adapter, VeraAdapter):
-        mixed = adapter.b_frozen @ (adapter.d[:, None] * adapter.a_frozen)
-        grad_b = (upstream * mixed).sum(axis=1)
-        grad_d = ((adapter.b_frozen.T * adapter.b) @ upstream * adapter.a_frozen).sum(
-            axis=1
-        )
-        return [grad_b, grad_d]
-    if isinstance(adapter, HiraAdapter):
-        masked = upstream * adapter.w0
-        return [masked @ adapter.b.T, adapter.a.T @ masked]
-    raise TypeError(f"not an adapter: {type(adapter).__name__}")
+    in the same order as ``trainable_arrays()``. The tensor-network family
+    delegates to ``tera_gradient``."""
+    return _checked(adapter).grads(np.asarray(upstream, dtype=float))
 
 
 def finite_difference_check(loss_fn, grad_fn, adapter, h: float = 1e-5) -> float:
@@ -164,15 +116,7 @@ class OptimizerConfig:
             raise ValueError("step counts must be non-negative")
 
     def to_dict(self):
-        return {
-            "algorithm": self.algorithm,
-            "learning_rate": self.learning_rate,
-            "betas": list(self.betas),
-            "weight_decay": self.weight_decay,
-            "warmup_steps": self.warmup_steps,
-            "max_steps": self.max_steps,
-            "seed": self.seed,
-        }
+        return dict(dataclasses.asdict(self), betas=list(self.betas))
 
 
 class _Optimizer:
@@ -215,10 +159,6 @@ class _Optimizer:
                 vel *= b1
                 vel += np.asarray(g, dtype=float)
                 arr -= lr * (vel + wd * arr)
-
-
-def make_optimizer(cfg: OptimizerConfig, arrays) -> _Optimizer:
-    return _Optimizer(cfg, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +229,7 @@ def planted_recovery_task(
         kind="planted",
         seed=seed,
         detail={
-            "mode_sizes": list(scheme.mode_sizes),
-            "split": scheme.split,
-            "ranks": list(scheme.ranks),
+            **scheme.to_dict(),
             "master_seed": store.master_seed,
             "identity_factors": identity_factors,
         },
@@ -371,7 +309,7 @@ def fit_recovery(adapter, task: RecoveryTask, cfg: OptimizerConfig) -> TrainRepo
     if adapter.shape != task.shape:
         raise ValueError(f"adapter shape {adapter.shape} != target {task.shape}")
     t0 = time.perf_counter()
-    opt = make_optimizer(cfg, adapter.trainable_arrays())
+    opt = _Optimizer(cfg, adapter.trainable_arrays())
     curve = []
     target_norm = float(np.linalg.norm(task.target))
 
@@ -523,7 +461,7 @@ def als_approx_error(
             max_steps=polish_steps,
             seed=seed,
         )
-        opt = make_optimizer(polish_cfg, work.d_vectors)
+        opt = _Optimizer(polish_cfg, work.d_vectors)
         for _ in range(polish_steps):
             diff = materialize_delta(work) - target
             opt.step(delta_gradient(work, 2.0 * diff))
@@ -690,7 +628,7 @@ def make_mlp_adapt_task(
         max_steps=pretrain_steps,
         seed=seed,
     )
-    opt = make_optimizer(pretrain_cfg, weights)
+    opt = _Optimizer(pretrain_cfg, weights)
     x, y = source_train
     for _ in range(pretrain_steps):
         _, grads = _mlp_loss_and_grads(weights, x, y, n_classes)
@@ -730,19 +668,17 @@ def build_adapter(
     families default to a one-sided scheme (row dimension kept whole, column
     dimension split into equal modes) when no scheme is given.
     """
+    if family in ("tera", "tera_iden", "vera") and store is None:
+        raise ValueError(f"{family} needs a frozen-factor store")
     if family in ("tera", "tera_iden"):
         if scheme is None:
             scheme = TensorizationScheme.one_sided(j1, j2, default_mode_size)
-        if store is None:
-            raise ValueError(f"{family} needs a frozen-factor store")
         return init_tera(
             j1, j2, scheme, store, identity_factors=(family == "tera_iden")
         )
     if family == "lora":
         return init_lora(j1, j2, rank, seed=seed)
     if family == "vera":
-        if store is None:
-            raise ValueError("vera needs a frozen-factor store")
         return init_vera(j1, j2, rank, store)
     if family == "hira":
         if w0 is None:
@@ -785,7 +721,7 @@ def fit_mlp_adapt(
     all_arrays = []
     for layer in task.attach_layers:
         all_arrays.extend(adapters[layer].trainable_arrays())
-    opt = make_optimizer(cfg, all_arrays)
+    opt = _Optimizer(cfg, all_arrays)
 
     x, y = task.target_train
     base_accuracy = mlp_accuracy(task.base_weights, task.target_test, task.n_classes)
@@ -815,13 +751,7 @@ def fit_mlp_adapt(
                 "optimizer": cfg.to_dict(),
                 "family": family,
                 "rank": rank,
-                "scheme": None
-                if scheme is None
-                else {
-                    "mode_sizes": list(scheme.mode_sizes),
-                    "split": scheme.split,
-                    "ranks": list(scheme.ranks),
-                },
+                "scheme": None if scheme is None else scheme.to_dict(),
                 "adapter_seed": adapter_seed,
             },
             metrics={
@@ -864,7 +794,7 @@ def finetune_full(task: MlpAdaptTask, cfg: OptimizerConfig):
     rank analysis of adapter families.
     """
     weights = [w.copy() for w in task.base_weights]
-    opt = make_optimizer(cfg, weights)
+    opt = _Optimizer(cfg, weights)
     x, y = task.target_train
     initial_loss, _ = _mlp_loss_and_grads(weights, x, y, task.n_classes)
     for step in range(cfg.max_steps):

@@ -40,7 +40,6 @@ from tera import (
     rank_report,
     recovery_gradients,
     recovery_loss,
-    tera_param_count,
     trainable_param_count,
     vera_full_rank_param_count,
     vera_rank_for_budget,
@@ -73,9 +72,9 @@ class Stopwatch:
 def test_criterion_01_parameter_counts():
     with Stopwatch() as sw:
         four_mode = TensorizationScheme((64, 64, 64, 64), split=2)
-        n_four = tera_param_count(four_mode)
+        n_four = four_mode.num_trainable()
         binary = TensorizationScheme.two_sided(4096, 4096, 2)
-        n_binary = tera_param_count(binary)
+        n_binary = binary.num_trainable()
         n_vera = vera_full_rank_param_count(4096, 4096)
     ok = n_four == 256 and n_binary == 48 and n_vera >= 8192 and sw.seconds < 1.0
     assert report(

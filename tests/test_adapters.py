@@ -7,7 +7,6 @@ from tera.adapters import (
     FrozenFactorStore,
     apply_delta,
     clone_trainable,
-    hira_param_count,
     init_hira,
     init_lora,
     init_tera,
@@ -18,7 +17,6 @@ from tera.adapters import (
     merge,
     save_checkpoint,
     synthetic_base_weight,
-    tera_param_count,
     trainable_param_count,
     vera_full_rank_param_count,
     vera_param_count,
@@ -26,6 +24,8 @@ from tera.adapters import (
 )
 from tera.tensor_ops import TensorizationScheme, unfold
 
+import checkpoint_docs
+from checkpoint_docs import FAMILIES, MALFORMED, malformed_doc, valid_doc, write
 from oracles import tera_delta_by_loops
 
 SMALL = TensorizationScheme((2, 2, 2, 2), split=2)
@@ -285,11 +285,11 @@ class TestParamCounts:
 
     def test_tera_count_is_sum_of_ranks(self):
         scheme = TensorizationScheme((64,) * 4, split=2)
-        assert tera_param_count(scheme) == 256
+        assert scheme.num_trainable() == 256
 
     def test_tera_binary_modes_count(self):
         scheme = TensorizationScheme((2,) * 24, split=12)
-        assert tera_param_count(scheme) == 48
+        assert scheme.num_trainable() == 48
 
     def test_lora_rank_one(self):
         assert lora_param_count(4096, 4096, 1) == 8192
@@ -303,7 +303,7 @@ class TestParamCounts:
         assert trainable_param_count(init_vera(6, 9, 3, store)) == 9
 
     def test_hira_count(self):
-        assert hira_param_count(6, 9, 2) == 30
+        assert lora_param_count(6, 9, 2) == 30
         a = init_hira(6, 9, 2, w0_seed=0)
         assert trainable_param_count(a) == 30
 
@@ -415,6 +415,25 @@ class TestCheckpoints:
         path.write_text("{ this is not json")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_document_rejected(self, tmp_path, case):
+        family = MALFORMED[case][0]
+        intact = write(valid_doc(family), tmp_path / "intact.json")
+        assert load_checkpoint(intact, store=checkpoint_docs.store()).family == family
+        bad = write(malformed_doc(case), tmp_path / "bad.json")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad, store=checkpoint_docs.store())
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_save_refuses_non_finite_values(self, tmp_path, family):
+        for value in (np.nan, np.inf, -np.inf):
+            adapter = checkpoint_docs.adapter(family)
+            adapter.trainable_arrays()[-1].flat[0] = value
+            path = tmp_path / f"{family}.json"
+            with pytest.raises(CheckpointError):
+                save_checkpoint(adapter, path)
+            assert not path.exists()
 
     def test_unknown_format_version_rejected(self, tmp_path):
         path = tmp_path / "future.json"

@@ -19,6 +19,8 @@ from tera.cli import (
 )
 from tera.tensor_ops import TensorizationScheme
 
+from checkpoint_docs import malformed_doc, write
+
 
 class TestParsers:
     def test_shape(self):
@@ -391,3 +393,15 @@ class TestCheckpointInspect:
         path.write_text("{nope")
         rc = main(["checkpoint", "inspect", str(path)])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("case", [
+        "tera-fewer-d-vectors-than-modes", "tera-no-scheme", "tera-no-master-seed",
+        "tera-nan-d", "tera-not-an-object", "lora-rank-disagrees-with-a",
+        "vera-d-length-differs-from-rank", "hira-no-w0",
+    ])
+    def test_malformed_document_exits_2(self, tmp_path, capsys, case):
+        path = write(malformed_doc(case), tmp_path / "bad.json")
+        for argv in (["checkpoint", "inspect", str(path)],
+                     ["rank-report", str(path), "--out", str(tmp_path / "ranks")]):
+            assert main(argv) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("error: ")

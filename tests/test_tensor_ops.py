@@ -8,11 +8,8 @@ from tera.tensor_ops import (
     fold,
     frobenius_norm,
     kron_chain,
-    kronecker,
     mode_n_product,
-    multi_mode_product,
     pseudoinverse,
-    svd,
     tensor_spectral_norm,
     unfold,
 )
@@ -148,19 +145,26 @@ class TestModeProduct:
             mode_n_product(np.zeros((2, 3)), np.zeros((4, 5)), 1)
 
 
+def tucker_product(core, mats):
+    # core x_1 mats[0] x_2 mats[1] ... as a loop of mode products
+    for mode, mat in enumerate(mats):
+        core = mode_n_product(core, mat, mode)
+    return core
+
+
 class TestKronecker:
     def test_identity_times_identity(self):
-        assert_array_equal(kronecker(np.eye(2), np.eye(3)), np.eye(6))
+        assert_array_equal(kron_chain([np.eye(2), np.eye(3)]), np.eye(6))
 
     def test_row_vector_example(self):
-        out = kronecker(np.array([[1.0, 2.0]]), np.array([[0.0, 1.0]]))
+        out = kron_chain([np.array([[1.0, 2.0]]), np.array([[0.0, 1.0]])])
         assert_array_equal(out, np.array([[0.0, 1.0, 0.0, 2.0]]))
 
     def test_index_convention(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((2, 3))
         b = rng.standard_normal((4, 5))
-        k = kronecker(a, b)
+        k = kron_chain([a, b])
         for i, p, j, q in [(0, 1, 2, 3), (1, 2, 0, 0), (1, 0, 3, 4)]:
             assert k[i * 4 + j, p * 5 + q] == a[i, p] * b[j, q]
 
@@ -170,7 +174,7 @@ class TestKronecker:
         core = rng.standard_normal((3, 3, 3))
         mats = [rng.standard_normal((4, 3)), rng.standard_normal((5, 3)),
                 rng.standard_normal((2, 3))]
-        full = multi_mode_product(core, mats)
+        full = tucker_product(core, mats)
         left = kron_chain(mats[:1])
         right = kron_chain(mats[1:])
         direct = left @ unfold(core, 1) @ right.T
@@ -180,7 +184,7 @@ class TestKronecker:
         rng = np.random.default_rng(8)
         core = rng.standard_normal((2, 3, 2, 3))
         mats = [rng.standard_normal((m, s)) for m, s in zip((3, 4, 2, 5), core.shape)]
-        full = multi_mode_product(core, mats)
+        full = tucker_product(core, mats)
         for split in (1, 2, 3):
             direct = kron_chain(mats[:split]) @ unfold(core, split) @ kron_chain(mats[split:]).T
             assert_allclose(unfold(full, split), direct, rtol=1e-10, atol=1e-12)
@@ -200,26 +204,6 @@ class TestNorms:
 
 
 class TestSvdPinv:
-    def test_diag_singular_values(self):
-        _, s, _ = svd(np.diag([3.0, 1.0]))
-        assert_allclose(s, [3.0, 1.0], rtol=0, atol=0)
-
-    def test_rank_one_outer_product(self):
-        rng = np.random.default_rng(10)
-        u = rng.standard_normal(6)
-        v = rng.standard_normal(4)
-        _, s, _ = svd(np.outer(u, v))
-        assert np.sum(s > 1e-12 * s[0]) == 1
-
-    def test_factors_orthonormal_and_reconstruct(self):
-        rng = np.random.default_rng(11)
-        m = rng.standard_normal((5, 3))
-        u, s, v = svd(m)
-        assert_allclose(u.T @ u, np.eye(3), atol=1e-10)
-        assert_allclose(v.T @ v, np.eye(3), atol=1e-10)
-        assert_allclose(u @ np.diag(s) @ v.T, m, atol=1e-10 * frobenius_norm(m))
-        assert np.all(np.diff(s) <= 0)
-
     def test_pinv_identity(self):
         assert_allclose(pseudoinverse(np.eye(3)), np.eye(3), atol=1e-14)
 

@@ -25,8 +25,8 @@ from tera.training import (
     fit_recovery,
     finetune_full,
     gaussian_recovery_task,
+    _Optimizer,
     make_mlp_adapt_task,
-    make_optimizer,
     mlp_accuracy,
     planted_recovery_task,
     prescribed_rank_recovery_task,
@@ -156,7 +156,7 @@ class TestOptimizers:
             max_steps=1,
         )
         arr = np.zeros(1)
-        opt = make_optimizer(cfg, [arr])
+        opt = _Optimizer(cfg, [arr])
         opt.step([np.ones(1)])
         # first step uses lr * 1/10
         assert_allclose(arr, [-0.1])
@@ -166,7 +166,7 @@ class TestOptimizers:
             algorithm="adamw", learning_rate=0.1, weight_decay=0.5, warmup_steps=0
         )
         arr = np.array([2.0])
-        opt = make_optimizer(cfg, [arr])
+        opt = _Optimizer(cfg, [arr])
         opt.step([np.zeros(1)])
         # Pure decay: 2.0 - 0.1 * 0.5 * 2.0
         assert_allclose(arr, [1.9])
