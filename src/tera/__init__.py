@@ -11,8 +11,9 @@ The package is organised in four layers:
   ``max_rank``, ``clone``, ``to_doc`` and ``from_doc``, to which the
   module-level functions delegate.
 - ``training``: analytic gradients, finite-difference checking,
-  optimizers, recovery and MLP adaptation tasks, and the alternating
-  least squares estimator.
+  optimizers, recovery and MLP adaptation tasks, the alternating
+  least squares estimator, and ``write_json``/``write_csv``, through
+  which every report and table is written.
 - ``analysis``: numerical verifiers for the rank, parameter-count and
   expressivity bounds, plus rank reports over trained adapters.
 
@@ -81,8 +82,8 @@ from .training import (
     recovery_gradients,
     recovery_loss,
     tera_gradient,
-    write_loss_csv,
-    write_report_json,
+    write_csv,
+    write_json,
 )
 from .analysis import (
     EXPRESSIVITY_BOUND,
@@ -97,9 +98,6 @@ from .analysis import (
     verify_expressivity_bound,
     verify_param_bound,
     verify_rank_bound,
-    write_bound_report_json,
-    write_rank_report_csv,
-    write_rank_report_json,
 )
 
 __version__ = "0.1.0"
@@ -154,8 +152,8 @@ __all__ = [
     "recovery_loss",
     "recovery_gradients",
     "TrainReport",
-    "write_report_json",
-    "write_loss_csv",
+    "write_json",
+    "write_csv",
     "fit_recovery",
     "DivergenceError",
     "AlsResult",
@@ -180,8 +178,5 @@ __all__ = [
     "structural_max_rank",
     "RankReport",
     "rank_report",
-    "write_rank_report_csv",
-    "write_rank_report_json",
-    "write_bound_report_json",
     "__version__",
 ]

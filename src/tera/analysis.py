@@ -16,7 +16,6 @@ confirm the inequality but never refute it: verdicts are "holds" or
 "inconclusive", by design.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,21 +50,6 @@ class InstanceRejected(ValueError):
     """The instance cannot be certified (e.g. near-zero core entries)."""
 
 
-def _py(value):
-    # json.dump chokes on numpy scalars; normalize recursively.
-    if isinstance(value, dict):
-        return {str(k): _py(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_py(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_py(v) for v in value.tolist()]
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    return value
-
-
 @dataclass
 class BoundReport:
     """Outcome of checking one inequality on one instance (or batch)."""
@@ -79,24 +63,16 @@ class BoundReport:
     slack: float
 
     def to_json_dict(self):
-        return _py(
-            {
-                "format_version": REPORT_FORMAT_VERSION,
-                "bound_id": self.bound_id,
-                "instance": self.instance,
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "terms": self.terms,
-                "verdict": self.verdict,
-                "slack": self.slack,
-            }
-        )
-
-
-def write_bound_report_json(report: BoundReport, path):
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        return {
+            "format_version": REPORT_FORMAT_VERSION,
+            "bound_id": self.bound_id,
+            "instance": self.instance,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "terms": self.terms,
+            "verdict": self.verdict,
+            "slack": self.slack,
+        }
 
 
 def verify_rank_bound(scheme: TensorizationScheme, trials: int, seed=0) -> BoundReport:
@@ -348,23 +324,24 @@ def structural_max_rank(adapter) -> int:
     return _checked(adapter).max_rank()
 
 
+RANK_COLUMNS = ("layer", "family", "rank", "max_rank", "tolerance")
+
+
 @dataclass
 class RankReport:
     """Numerical ranks of materialized deltas per layer and family."""
 
-    rows: list  # dicts: layer, family, rank, max_rank, tolerance
+    rows: list  # dicts keyed by RANK_COLUMNS
     spectra: dict = field(default_factory=dict)  # "layer/family" -> singular values
     rel_tol: float = 1e-8
 
     def to_json_dict(self):
-        return _py(
-            {
-                "format_version": REPORT_FORMAT_VERSION,
-                "rel_tol": self.rel_tol,
-                "rows": self.rows,
-                "spectra": self.spectra,
-            }
-        )
+        return {
+            "format_version": REPORT_FORMAT_VERSION,
+            "rel_tol": self.rel_tol,
+            "rows": self.rows,
+            "spectra": self.spectra,
+        }
 
 
 def rank_report(entries, rel_tol: float = 1e-8) -> RankReport:
@@ -380,31 +357,7 @@ def rank_report(entries, rel_tol: float = 1e-8) -> RankReport:
         svals = np.linalg.svd(delta, compute_uv=False)
         top = svals[0] if svals.size else 0.0
         rank = int(np.count_nonzero(svals > rel_tol * top)) if top > 0 else 0
-        rows.append(
-            {
-                "layer": layer,
-                "family": family,
-                "rank": rank,
-                "max_rank": structural_max_rank(adapter),
-                "tolerance": rel_tol,
-            }
-        )
+        values = (layer, family, rank, structural_max_rank(adapter), rel_tol)
+        rows.append(dict(zip(RANK_COLUMNS, values)))
         spectra[f"{layer}/{family}"] = [float(s) for s in svals]
     return RankReport(rows=rows, spectra=spectra, rel_tol=rel_tol)
-
-
-def write_rank_report_csv(report: RankReport, path):
-    lines = ["layer,family,rank,max_rank,tolerance"]
-    for row in report.rows:
-        lines.append(
-            f"{row['layer']},{row['family']},{row['rank']},"
-            f"{row['max_rank']},{float(row['tolerance'])!r}"
-        )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_rank_report_json(report: RankReport, path):
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -16,7 +16,6 @@ Conventions shared by every subcommand:
 """
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -38,17 +37,16 @@ from .adapters import (
     vera_rank_for_budget,
 )
 from .analysis import (
+    RANK_COLUMNS,
+    InstanceRejected,
     rank_report,
     verify_expressivity_bound,
     verify_param_bound,
     verify_rank_bound,
-    write_bound_report_json,
-    write_rank_report_csv,
-    write_rank_report_json,
-    InstanceRejected,
 )
 from .tensor_ops import TensorizationScheme
 from .training import (
+    LOSS_COLUMNS,
     DivergenceError,
     OptimizerConfig,
     build_adapter,
@@ -57,8 +55,8 @@ from .training import (
     gaussian_recovery_task,
     make_mlp_adapt_task,
     planted_recovery_task,
-    write_loss_csv,
-    write_report_json,
+    write_csv,
+    write_json,
 )
 
 EXIT_OK = 0
@@ -165,28 +163,15 @@ def _out_dir(args):
 
 def write_resolved_config(out_dir, command, args):
     resolved = {"format_version": CONFIG_FORMAT_VERSION, "command": command}
-    skip = {"func", "config"}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or key == "command":
-            continue
-        if isinstance(value, Path):
-            value = str(value)
-        resolved[key] = value
-    with open(out_dir / "resolved_config.json", "w") as fh:
-        json.dump(resolved, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    for key, value in vars(args).items():
+        if key not in ("func", "config", "command"):
+            resolved[key] = value
+    write_json(out_dir / "resolved_config.json", resolved)
 
 
-def _write_csv(path, header, rows):
-    # scheme strings contain commas, so fields are quoted as needed;
-    # floats go through repr so reruns are byte-identical
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [repr(c) if isinstance(c, float) else c for c in row]
-            )
+def _write_fit_report(report, out):
+    write_json(out / "report.json", report.to_json_dict())
+    write_csv(out / "loss.csv", LOSS_COLUMNS, report.loss_curve)
 
 
 def _print_table(rows, header):
@@ -206,6 +191,7 @@ def cmd_param_count(args):
     scheme = parse_scheme(args.scheme, args.split)
     _require_match(scheme, j1, j2)
     rank = args.rank
+    header = ["family", "params", "detail"]
     rows = [
         ("tera", scheme.num_trainable(), format_scheme(scheme)),
         ("tera_iden", scheme.num_trainable(), format_scheme(scheme)),
@@ -214,10 +200,10 @@ def cmd_param_count(args):
         ("vera_full_rank", vera_full_rank_param_count(j1, j2), "r=min(J1,J2)"),
         ("hira", lora_param_count(j1, j2, rank), f"r={rank}"),
     ]
-    _print_table([list(r) for r in rows], ["family", "params", "detail"])
+    _print_table([list(r) for r in rows], header)
     if args.out:
         out = _out_dir(args)
-        _write_csv(out / "param_counts.csv", ["family", "params", "detail"], rows)
+        write_csv(out / "param_counts.csv", header, rows)
         write_resolved_config(out, "param-count", args)
     return EXIT_OK
 
@@ -245,22 +231,13 @@ def _resolve_vera_budget(args, j1):
             f"bad --match-budget-of {args.match_budget_of!r}; expected tera:SCHEME",
         )
     budget = parse_scheme(spec, args.split).num_trainable()
-    rank = vera_rank_for_budget(j1, budget)
-    achieved = vera_param_count(j1, rank)
-    if abs(achieved - budget) > 1:
-        raise CliError(
-            EXIT_CONFIG,
-            f"cannot match budget {budget} with row dimension {j1} "
-            f"(closest is {achieved})",
-        )
-    return rank
+    return vera_rank_for_budget(j1, budget)
 
 
 def _diverged(exc, args, out):
     """Write what a diverged fit left behind; return the error to raise."""
     if exc.report is not None:
-        write_report_json(exc.report, out / "report.json")
-        write_loss_csv(exc.report, out / "loss.csv")
+        _write_fit_report(exc.report, out)
     write_resolved_config(out, "fit", args)
     return CliError(
         EXIT_DIVERGED,
@@ -271,10 +248,12 @@ def _diverged(exc, args, out):
 
 def _fit_recovery(args, out):
     j1, j2 = parse_shape(args.shape)
+    scheme = None
     if args.scheme:
         scheme = parse_scheme(args.scheme, args.split)
         _require_match(scheme, j1, j2)
-    else:
+    elif args.family in ("tera", "tera_iden") or args.target == "planted":
+        # only the tensor-network families and planted targets use a scheme
         try:
             scheme = TensorizationScheme.one_sided(j1, j2, 4)
         except ValueError as exc:
@@ -307,8 +286,7 @@ def _fit_recovery(args, out):
         report = fit_recovery(adapter, task, cfg)
     except DivergenceError as exc:
         raise _diverged(exc, args, out)
-    write_report_json(report, out / "report.json")
-    write_loss_csv(report, out / "loss.csv")
+    _write_fit_report(report, out)
     save_checkpoint(adapter, out / "checkpoint.json")
     write_resolved_config(out, "fit", args)
     print(f"family={args.family} params={report.trainable_param_count}")
@@ -346,8 +324,7 @@ def _fit_mlp(args, out):
         )
     except DivergenceError as exc:
         raise _diverged(exc, args, out)
-    write_report_json(report, out / "report.json")
-    write_loss_csv(report, out / "loss.csv")
+    _write_fit_report(report, out)
     for layer, adapter in adapters.items():
         if args.family == "hira":
             # make the checkpoint self-describing: the base weight can be
@@ -430,8 +407,12 @@ def cmd_rank_report(args):
         layer = labels[i] if labels else path.stem
         entries.append((layer, family, adapter))
     report = rank_report(entries, rel_tol=args.rel_tol)
-    write_rank_report_csv(report, out / "ranks.csv")
-    write_rank_report_json(report, out / "ranks.json")
+    write_csv(
+        out / "ranks.csv",
+        RANK_COLUMNS,
+        [[row[c] for c in RANK_COLUMNS] for row in report.rows],
+    )
+    write_json(out / "ranks.json", report.to_json_dict())
     write_resolved_config(out, "rank-report", args)
     _print_table(
         [
@@ -451,7 +432,7 @@ def _verify_rank(args, out):
         TensorizationScheme((4, 4, 4, 4), split=2)
     )
     report = verify_rank_bound(scheme, trials=args.trials, seed=args.seed)
-    write_bound_report_json(report, out / "rank_bound.json")
+    write_json(out / "rank_bound.json", report.to_json_dict())
     print(
         f"rank_bound: {report.verdict} "
         f"(max rank {report.terms['max_rank_observed']} vs bound {int(report.rhs)}, "
@@ -463,7 +444,7 @@ def _verify_rank(args, out):
 def _verify_params(args, out):
     j1, j2 = parse_shape(args.shape) if args.shape else (4096, 4096)
     report = verify_param_bound(j1, j2, limit=args.enumeration_limit)
-    write_bound_report_json(report, out / "param_count_bound.json")
+    write_json(out / "param_count_bound.json", report.to_json_dict())
     print(
         f"param_count_bound: {report.verdict} "
         f"({report.terms['n_schemes']} schemes, min params "
@@ -519,15 +500,12 @@ def _verify_expressivity(args, out):
         "planted": bool(args.planted),
         "reports": [r.to_json_dict() for r in reports],
     }
-    with open(out / "expressivity_bound.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    lines = ["instance,verdict,lhs,rhs,slack"]
-    lines += [
-        f"{i},{r.verdict},{float(r.lhs)!r},{float(r.rhs)!r},{float(r.slack)!r}"
-        for i, r in enumerate(reports)
-    ]
-    (out / "expressivity_instances.csv").write_text("\n".join(lines) + "\n")
+    write_json(out / "expressivity_bound.json", summary)
+    write_csv(
+        out / "expressivity_instances.csv",
+        ["instance", "verdict", "lhs", "rhs", "slack"],
+        [(i, r.verdict, r.lhs, r.rhs, r.slack) for i, r in enumerate(reports)],
+    )
     print(
         f"expressivity_bound: holds {holds}/{args.instances}, "
         f"inconclusive {inconclusive}, rejected {rejected}"
@@ -595,7 +573,7 @@ def cmd_ablate(args):
                 (format_scheme(scheme), family, params,
                  float(np.mean(residuals)))
             )
-    _write_csv(
+    write_csv(
         out / "ablation.csv",
         ["scheme", "family", "params", "mean_final_relative_residual"],
         rows,
@@ -689,7 +667,7 @@ def build_parser():
         "--match-budget-of",
         default=None,
         metavar="tera:SCHEME",
-        help="set the vera rank so budgets match within one parameter",
+        help="set the vera rank so its budget matches exactly",
     )
     p.add_argument("--layer-sizes", default="64,64,64,64")
     p.add_argument("--n-classes", type=int, default=8)

@@ -16,6 +16,7 @@ tensor-network family, used by the expressivity-bound verifier.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -270,23 +271,42 @@ class TrainReport:
             "delta_ranks": self.delta_ranks,
             "metrics": self.metrics,
             "config": self.config,
-            "loss_curve": [[int(s), float(l)] for s, l in self.loss_curve],
+            "loss_curve": self.loss_curve,
         }
 
 
-def write_report_json(report: TrainReport, path):
-    with open(path, "w") as f:
-        json.dump(report.to_json_dict(), f, indent=1, sort_keys=True)
-        f.write("\n")
+LOSS_COLUMNS = ("step", "loss")
 
 
-def write_loss_csv(report: TrainReport, path):
-    """Loss curve as CSV. Values are written with repr-level precision and no
-    timestamps, so reruns with the same config are byte-identical."""
-    lines = ["step,loss"]
-    lines += [f"{int(s)},{float(l)!r}" for s, l in report.loss_curve]
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+def _plain(value):
+    # numpy scalars and arrays are the only non-JSON values reports hold;
+    # tolist() keeps a numpy bool a bool
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def write_json(path, doc):
+    """Write a report document: sorted keys, one-space indent, trailing
+    newline. Non-finite floats are written as NaN/Infinity, because a
+    diverged run's partial report records its non-finite loss."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True, default=_plain)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows):
+    """Write a table with minimal quoting (scheme strings hold commas).
+    Floats are written with repr and there are no timestamps, so reruns
+    with the same config are byte-identical."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [repr(float(c)) if isinstance(c, (float, np.floating)) else c
+                 for c in row]
+            )
 
 
 def _check_divergence(step, loss, initial_loss, partial_report_fn):
@@ -313,8 +333,7 @@ def fit_recovery(adapter, task: RecoveryTask, cfg: OptimizerConfig) -> TrainRepo
     curve = []
     target_norm = float(np.linalg.norm(task.target))
 
-    def build_report(final_loss):
-        delta = materialize_delta(adapter)
+    def build_report(final_loss, delta):
         residual = float(np.linalg.norm(delta - task.target))
         return TrainReport(
             loss_curve=list(curve),
@@ -334,20 +353,16 @@ def fit_recovery(adapter, task: RecoveryTask, cfg: OptimizerConfig) -> TrainRepo
             },
         )
 
-    initial_loss = recovery_loss(adapter, task)
-    for step in range(cfg.max_steps):
+    # Step max_steps only evaluates the final state.
+    for step in range(cfg.max_steps + 1):
         delta = materialize_delta(adapter)
         diff = delta - task.target
         loss = 0.5 * float(np.sum(diff * diff))
         curve.append((step, loss))
-        _check_divergence(step, loss, initial_loss, lambda: build_report(loss))
-        opt.step(delta_gradient(adapter, diff))
-    final_loss = recovery_loss(adapter, task)
-    curve.append((cfg.max_steps, final_loss))
-    _check_divergence(
-        cfg.max_steps, final_loss, initial_loss, lambda: build_report(final_loss)
-    )
-    return build_report(final_loss)
+        _check_divergence(step, loss, curve[0][1], lambda: build_report(loss, delta))
+        if step < cfg.max_steps:
+            opt.step(delta_gradient(adapter, diff))
+    return build_report(loss, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +477,11 @@ def als_approx_error(
             seed=seed,
         )
         opt = _Optimizer(polish_cfg, work.d_vectors)
+        diff = materialize_delta(work) - target
         for _ in range(polish_steps):
-            diff = materialize_delta(work) - target
             opt.step(delta_gradient(work, 2.0 * diff))
-            value = objective()
+            diff = materialize_delta(work) - target
+            value = float(np.sum(diff * diff))
             if value < best_value:
                 best_value = value
                 best_d = [d.copy() for d in work.d_vectors]
@@ -732,8 +748,7 @@ def fit_mlp_adapt(
             out[layer] = out[layer] + materialize_delta(adapter)
         return out
 
-    def build_report(curve, final_loss):
-        weights = effective_weights()
+    def build_report(final_loss, weights):
         ranks = {
             f"layer{layer}": numerical_rank(materialize_delta(adapter))
             for layer, adapter in adapters.items()
@@ -766,24 +781,20 @@ def fit_mlp_adapt(
         )
 
     curve = []
-    initial_loss, _ = _mlp_loss_and_grads(effective_weights(), x, y, task.n_classes)
-    for step in range(cfg.max_steps):
+    # Step max_steps only evaluates the final state.
+    for step in range(cfg.max_steps + 1):
         weights = effective_weights()
         loss, weight_grads = _mlp_loss_and_grads(weights, x, y, task.n_classes)
         curve.append((step, loss))
         _check_divergence(
-            step, loss, initial_loss, lambda: build_report(curve, loss)
+            step, loss, curve[0][1], lambda: build_report(loss, weights)
         )
-        grads = []
-        for layer in task.attach_layers:
-            grads.extend(delta_gradient(adapters[layer], weight_grads[layer]))
-        opt.step(grads)
-    final_loss, _ = _mlp_loss_and_grads(effective_weights(), x, y, task.n_classes)
-    curve.append((cfg.max_steps, final_loss))
-    _check_divergence(
-        cfg.max_steps, final_loss, initial_loss, lambda: build_report(curve, final_loss)
-    )
-    return build_report(curve, final_loss), adapters
+        if step < cfg.max_steps:
+            grads = []
+            for layer in task.attach_layers:
+                grads.extend(delta_gradient(adapters[layer], weight_grads[layer]))
+            opt.step(grads)
+    return build_report(loss, weights), adapters
 
 
 def finetune_full(task: MlpAdaptTask, cfg: OptimizerConfig):
@@ -796,9 +807,10 @@ def finetune_full(task: MlpAdaptTask, cfg: OptimizerConfig):
     weights = [w.copy() for w in task.base_weights]
     opt = _Optimizer(cfg, weights)
     x, y = task.target_train
-    initial_loss, _ = _mlp_loss_and_grads(weights, x, y, task.n_classes)
     for step in range(cfg.max_steps):
         loss, grads = _mlp_loss_and_grads(weights, x, y, task.n_classes)
+        if step == 0:
+            initial_loss = loss
         _check_divergence(step, loss, initial_loss, lambda: None)
         opt.step(grads)
     updates = [w - b for w, b in zip(weights, task.base_weights)]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import tera
 from tera.adapters import (
     CheckpointError,
     FrozenFactorStore,
@@ -459,3 +460,10 @@ class TestCheckpoints:
         stored_floats = sum(len(d) for d in doc["d_vectors"])
         assert stored_floats == 256
         assert "core" not in doc and "factors" not in doc
+
+
+def test_every_public_name_resolves():
+    # a name left in __all__ after its definition is deleted breaks this
+    namespace = {}
+    exec("from tera import *", namespace)
+    assert set(tera.__all__) <= set(namespace)

@@ -14,6 +14,7 @@ from tera.adapters import (
     synthetic_base_weight,
 )
 from tera.analysis import (
+    RANK_COLUMNS,
     BoundReport,
     InstanceRejected,
     multiplicative_partitions,
@@ -23,12 +24,9 @@ from tera.analysis import (
     verify_expressivity_bound,
     verify_param_bound,
     verify_rank_bound,
-    write_bound_report_json,
-    write_rank_report_csv,
-    write_rank_report_json,
 )
 from tera.tensor_ops import TensorizationScheme, kron_chain, pseudoinverse, unfold
-from tera.training import planted_recovery_task
+from tera.training import planted_recovery_task, write_csv, write_json
 
 EIGHT = TensorizationScheme((2, 4, 2, 4), split=2)
 
@@ -295,7 +293,7 @@ class TestReportIo:
     def test_rank_csv_layout(self, tmp_path):
         report = rank_report([("l0", "lora", init_lora(4, 4, 2, seed=0))])
         path = tmp_path / "ranks.csv"
-        write_rank_report_csv(report, path)
+        write_csv(path, RANK_COLUMNS, [[r[c] for c in RANK_COLUMNS] for r in report.rows])
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "layer,family,rank,max_rank,tolerance"
         assert lines[1] == "l0,lora,0,2,1e-08"
@@ -303,7 +301,7 @@ class TestReportIo:
     def test_rank_json_round_trip(self, tmp_path):
         report = rank_report([("l0", "lora", init_lora(4, 4, 2, seed=0))])
         path = tmp_path / "ranks.json"
-        write_rank_report_json(report, path)
+        write_json(path, report.to_json_dict())
         doc = json.loads(path.read_text())
         assert doc["format_version"] == 1
         assert doc["rows"][0]["family"] == "lora"
@@ -311,14 +309,53 @@ class TestReportIo:
     def test_bound_report_json(self, tmp_path):
         report = verify_param_bound(8, 8)
         path = tmp_path / "bound.json"
-        write_bound_report_json(report, path)
+        write_json(path, report.to_json_dict())
         doc = json.loads(path.read_text())
         assert doc["bound_id"] == "param_count_bound"
         assert doc["verdict"] == "holds"
         assert isinstance(doc["terms"]["min_params"], int)
 
+    def test_bound_report_booleans_stay_booleans(self, tmp_path):
+        store = FrozenFactorStore(3)
+        adapter = init_tera(8, 8, EIGHT, store)
+        target = planted_recovery_task(EIGHT, store, seed=4).target
+        reports = {
+            "param": verify_param_bound(8, 8),
+            "expressivity": verify_expressivity_bound(
+                target, adapter, sweeps=5, polish_steps=0
+            ),
+        }
+        docs = {}
+        for name, report in reports.items():
+            write_json(tmp_path / name, report.to_json_dict())
+            docs[name] = json.loads((tmp_path / name).read_text())
+        assert docs["param"]["terms"]["equality_attained"] is True
+        assert docs["expressivity"]["instance"]["identity_factors"] is False
+        assert isinstance(docs["expressivity"]["terms"]["spectral_norm_converged"], bool)
+
+    def test_write_json_plain_values_and_non_finite(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(path, {
+            "flag": np.bool_(True),
+            "count": np.int64(3),
+            "ratio": np.float32(0.5),
+            "values": np.arange(2.0),
+            "loss": float("nan"),
+        })
+        text = path.read_text()
+        assert text.endswith("}\n")
+        doc = json.loads(text)
+        assert doc["flag"] is True and doc["count"] == 3 and doc["ratio"] == 0.5
+        assert doc["values"] == [0.0, 1.0]
+        assert np.isnan(doc["loss"])
+
+    def test_write_csv_quotes_commas_and_reprs_floats(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["scheme", "value"], [("4,4|4,4", np.float64(0.1)), ("x", 2)])
+        assert path.read_bytes() == b'scheme,value\n"4,4|4,4",0.1\nx,2\n'
+
     def test_rank_bound_report_serializes(self, tmp_path):
         report = verify_rank_bound(EIGHT, trials=3, seed=0)
-        write_bound_report_json(report, tmp_path / "r.json")
+        write_json(tmp_path / "r.json", report.to_json_dict())
         doc = json.loads((tmp_path / "r.json").read_text())
         assert doc["instance"]["scheme"]["mode_sizes"] == [2, 4, 2, 4]

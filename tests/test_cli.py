@@ -176,6 +176,14 @@ class TestFit:
         )
         assert rc == EXIT_CONFIG
 
+    def test_low_rank_family_needs_no_scheme(self, tmp_path, capsys):
+        # 32 has no one-sided split into modes of 4; lora never uses one
+        rc = main(
+            ["fit", "--family", "lora", "--shape", "32x32", "--max-steps", "5",
+             "--out", str(tmp_path / "lora")]
+        )
+        assert rc == EXIT_OK
+
     def test_budget_matching_wrong_family_exits_2(self, tmp_path, capsys):
         rc = main(
             ["fit", "--family", "lora", "--shape", "16x16",
@@ -246,6 +254,19 @@ class TestRankReport:
         assert lines[0] == "layer,family,rank,max_rank,tolerance"
         assert lines[1] == "layer0,lora,2,2,1e-08"
         assert lines[2] == "layer1,lora,4,4,1e-08"
+
+    def test_comma_in_checkpoint_stem_is_quoted(self, tmp_path, capsys):
+        lora = init_lora(16, 16, 2, seed=0)
+        lora.b[:] = np.random.default_rng(0).standard_normal(lora.b.shape)
+        comma = tmp_path / "a,b.json"
+        save_checkpoint(lora, comma)
+        out = tmp_path / "ranks"
+        rc = main(["rank-report", str(comma), "--out", str(out)])
+        assert rc == EXIT_OK
+        with open(out / "ranks.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["layer", "family", "rank", "max_rank", "tolerance"]
+        assert rows[1] == ["a,b", "lora", "2", "2", "1e-08"]
 
     def test_labels_flag(self, tmp_path, capsys):
         paths = self.make_checkpoints(tmp_path)

@@ -13,8 +13,10 @@ from tera.adapters import (
     materialize_delta,
     synthetic_base_weight,
 )
+from tera import training
 from tera.tensor_ops import TensorizationScheme, numerical_rank
 from tera.training import (
+    LOSS_COLUMNS,
     AlsResult,
     DivergenceError,
     OptimizerConfig,
@@ -34,8 +36,8 @@ from tera.training import (
     recovery_gradients,
     recovery_loss,
     tera_gradient,
-    write_loss_csv,
-    write_report_json,
+    write_csv,
+    write_json,
 )
 
 SMALL = TensorizationScheme((2, 2, 2, 2), split=2)
@@ -48,6 +50,19 @@ def randomized_tera(master_seed=7, d_seed=0, scheme=SMALL):
     for d in a.d_vectors:
         d[:] = rng.standard_normal(d.shape)
     return a
+
+
+def count_materializations(monkeypatch):
+    """Count ``training.materialize_delta`` calls: one list entry per call."""
+    calls = []
+    original = training.materialize_delta
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, "materialize_delta", counted)
+    return calls
 
 
 class TestTeraGradient:
@@ -283,6 +298,14 @@ class TestFitRecovery:
         with pytest.raises(ValueError):
             fit_recovery(adapter, gaussian_recovery_task(4, 5, seed=0), self.cfg())
 
+    def test_one_materialization_per_evaluated_step(self, monkeypatch):
+        # steps 0..max_steps each materialize once; the step-0 loss is the
+        # divergence reference and the final delta feeds the report
+        calls = count_materializations(monkeypatch)
+        adapter = init_tera(4, 4, SMALL, FrozenFactorStore(0))
+        fit_recovery(adapter, gaussian_recovery_task(4, 4, seed=0), self.cfg(max_steps=10))
+        assert len(calls) == 11
+
 
 class TestAls:
     def test_planted_reaches_zero(self):
@@ -302,6 +325,16 @@ class TestAls:
         assert len(values) == 25
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-12
+
+    def test_polish_evaluates_each_iterate_once(self, monkeypatch):
+        adapter = init_tera(4, 4, SMALL, FrozenFactorStore(14))
+        target = gaussian_recovery_task(4, 4, seed=14).target
+        calls = count_materializations(monkeypatch)
+        unpolished = als_approx_error(adapter, target, sweeps=3, polish_steps=0)
+        sweep_calls = len(calls)
+        polished = als_approx_error(adapter, target, sweeps=3, polish_steps=25)
+        assert len(calls) - 2 * sweep_calls == 25 + 1
+        assert polished.value <= unpolished.value
 
     def test_single_sweep_matches_independent_least_squares(self):
         # Order-2 network: reconstruct one cyclic sweep with closed-form basis
@@ -451,7 +484,8 @@ class TestReportIo:
             adapter = init_tera(4, 4, SMALL, FrozenFactorStore(20))
             task = gaussian_recovery_task(4, 4, seed=20)
             cfg = OptimizerConfig(max_steps=40, warmup_steps=10, seed=20)
-            write_loss_csv(fit_recovery(adapter, task, cfg), path)
+            report = fit_recovery(adapter, task, cfg)
+            write_csv(path, LOSS_COLUMNS, report.loss_curve)
             return path.read_bytes()
 
         assert run(tmp_path / "a.csv") == run(tmp_path / "b.csv")
@@ -461,7 +495,7 @@ class TestReportIo:
         task = gaussian_recovery_task(4, 4, seed=21)
         report = fit_recovery(adapter, task, OptimizerConfig(max_steps=3))
         path = tmp_path / "loss.csv"
-        write_loss_csv(report, path)
+        write_csv(path, LOSS_COLUMNS, report.loss_curve)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "step,loss"
         assert len(lines) == 5  # header + steps 0..3
@@ -473,7 +507,7 @@ class TestReportIo:
         task = gaussian_recovery_task(4, 4, seed=22)
         report = fit_recovery(adapter, task, OptimizerConfig(max_steps=3))
         path = tmp_path / "report.json"
-        write_report_json(report, path)
+        write_json(path, report.to_json_dict())
         doc = json.loads(path.read_text())
         assert doc["format_version"] == 1
         assert doc["final_loss"] == report.final_loss
