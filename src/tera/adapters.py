@@ -240,6 +240,26 @@ class TeraAdapter:
     def grads(self, upstream):
         return tera_gradient(self, upstream)
 
+    def design_matrix(self, mode):
+        """``(rows*cols) x ranks[mode]`` matrix ``phi`` with
+        ``unfold(delta).ravel() == phi @ d_vectors[mode]``.
+
+        The delta is linear in one mode's d vector: contract every other mode
+        with diag(d) @ factor, then spread the remaining rank index over that
+        mode's factor.
+        """
+        order = self.scheme.order
+        t = self.core
+        for m in range(order):
+            if m != mode:
+                t = mode_n_product(t, self.factor(m).T * self.d_vectors[m], m)
+        # out[i_1..i_N, b] = t[i_1..b..i_N] * factor(mode)[b, i_mode]
+        spread = [1] * (order + 1)
+        spread[mode] = self.scheme.mode_sizes[mode]
+        spread[-1] = self.scheme.ranks[mode]
+        t = np.expand_dims(np.moveaxis(t, mode, -1), mode)
+        return (t * self.factor(mode).T.reshape(spread)).reshape(-1, spread[-1])
+
     def max_rank(self):
         s = self.scheme
         return min(s.rank_rows, s.rank_cols, *self.shape)

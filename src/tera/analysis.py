@@ -243,6 +243,9 @@ def verify_expressivity_bound(
     only undershoot the true spectral norm, which only enlarges rhs, so the
     check stays conservative. lhs comes from alternating least squares and
     upper-bounds the true minimum, hence verdicts are holds/inconclusive.
+    Two terms say why a verdict is inconclusive: ``spectral_norm_converged``
+    (did the power method stabilize) and ``als_last_sweep_rel_change`` (the
+    relative objective drop over ALS's last sweep: still moving, or stalled).
     """
     if not isinstance(adapter, TeraAdapter):
         raise TypeError("expressivity bound applies to the tensor-network family")
@@ -313,6 +316,7 @@ def verify_expressivity_bound(
             "tolerance": tolerance,
             "als_sweeps": sweeps,
             "als_ridge_fallbacks": als.ridge_fallbacks,
+            "als_last_sweep_rel_change": als.last_sweep_rel_change,
         },
         verdict=verdict,
         slack=rhs - lhs,

@@ -382,6 +382,16 @@ class AlsResult:
     ridge_fallbacks: int
     sweep_values: list  # per-sweep objective of the best ALS start
 
+    @property
+    def last_sweep_rel_change(self):
+        """Relative drop of the objective over the best start's last sweep:
+        near 0 once ALS has stalled, larger while it is still moving. None
+        after a single sweep, which has no earlier objective to compare."""
+        if len(self.sweep_values) < 2:
+            return None
+        before, last = self.sweep_values[-2:]
+        return (before - last) / before if before > 0 else 0.0
+
 
 def als_approx_error(
     adapter: TeraAdapter,
@@ -395,12 +405,14 @@ def als_approx_error(
     """Alternating least squares over the d vectors, then gradient polish.
 
     With all other modes fixed, the delta is linear in one mode's d vector,
-    so each subproblem is exact least squares (solved by column-basis
-    materialization). Modes are swept cyclically; the objective is monotone
+    so each subproblem is exact least squares on the design matrix
+    ``TeraAdapter.design_matrix(mode)``, built by one contraction of the other
+    modes. Modes are swept cyclically; the objective is monotone
     non-increasing within a sweep because each update is an exact minimizer
     (rank-deficient subproblems fall back to a ridge solve and are kept only
-    if they do not increase the objective). The adapter itself is never
-    mutated; work happens on a clone.
+    if they do not increase the objective). A sweep's objective is the last
+    subproblem's residual ``||w - phi @ d||^2``, so sweeps never materialize
+    the delta. The adapter itself is never mutated; work happens on a clone.
 
     Multiple starts matter: the zero-initialized state is a stationary point
     where every subproblem for the other modes degenerates, so ALS begins
@@ -419,10 +431,6 @@ def als_approx_error(
     w_vec = target.ravel()
     rng = np.random.default_rng(seed)
 
-    def objective():
-        diff = materialize_delta(work) - target
-        return float(np.sum(diff * diff))
-
     starts = [[np.ones(r) for r in scheme.ranks]]
     for _ in range(extra_starts):
         starts.append([rng.standard_normal(r) for r in scheme.ranks])
@@ -440,11 +448,7 @@ def als_approx_error(
             for mode in range(scheme.order):
                 r = scheme.ranks[mode]
                 previous = work.d_vectors[mode].copy()
-                phi = np.empty((w_vec.size, r))
-                for basis in range(r):
-                    work.d_vectors[mode][:] = 0.0
-                    work.d_vectors[mode][basis] = 1.0
-                    phi[:, basis] = materialize_delta(work).ravel()
+                phi = work.design_matrix(mode)
                 solution, _, lstsq_rank, _ = np.linalg.lstsq(phi, w_vec, rcond=None)
                 if lstsq_rank < r:
                     ridge_fallbacks += 1
@@ -459,7 +463,9 @@ def als_approx_error(
                     else:
                         solution = previous
                 work.d_vectors[mode][:] = solution
-            sweep_values.append(objective())
+            # the last mode's phi @ solution is the delta after this sweep
+            residual = w_vec - phi @ solution
+            sweep_values.append(float(residual @ residual))
         if sweep_values[-1] < best_value:
             best_value = sweep_values[-1]
             best_d = [d.copy() for d in work.d_vectors]
@@ -743,16 +749,14 @@ def fit_mlp_adapt(
     base_accuracy = mlp_accuracy(task.base_weights, task.target_test, task.n_classes)
 
     def effective_weights():
+        deltas = {layer: materialize_delta(a) for layer, a in adapters.items()}
         out = list(task.base_weights)
-        for layer, adapter in adapters.items():
-            out[layer] = out[layer] + materialize_delta(adapter)
-        return out
+        for layer, delta in deltas.items():
+            out[layer] = out[layer] + delta
+        return out, deltas
 
-    def build_report(final_loss, weights):
-        ranks = {
-            f"layer{layer}": numerical_rank(materialize_delta(adapter))
-            for layer, adapter in adapters.items()
-        }
+    def build_report(final_loss, weights, deltas):
+        ranks = {f"layer{layer}": numerical_rank(d) for layer, d in deltas.items()}
         return TrainReport(
             loss_curve=list(curve),
             final_loss=final_loss,
@@ -783,18 +787,18 @@ def fit_mlp_adapt(
     curve = []
     # Step max_steps only evaluates the final state.
     for step in range(cfg.max_steps + 1):
-        weights = effective_weights()
+        weights, deltas = effective_weights()
         loss, weight_grads = _mlp_loss_and_grads(weights, x, y, task.n_classes)
         curve.append((step, loss))
         _check_divergence(
-            step, loss, curve[0][1], lambda: build_report(loss, weights)
+            step, loss, curve[0][1], lambda: build_report(loss, weights, deltas)
         )
         if step < cfg.max_steps:
             grads = []
             for layer in task.attach_layers:
                 grads.extend(delta_gradient(adapters[layer], weight_grads[layer]))
             opt.step(grads)
-    return build_report(loss, weights), adapters
+    return build_report(loss, weights, deltas), adapters
 
 
 def finetune_full(task: MlpAdaptTask, cfg: OptimizerConfig):

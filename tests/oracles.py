@@ -72,6 +72,21 @@ def tera_delta_by_loops(core, factors, d_vectors, split):
     return out
 
 
+def tera_design_by_loops(core, factors, d_vectors, split, mode):
+    """Least-squares design matrix of one mode, one delta per column.
+
+    Column ``b`` is the flattened delta with ``d_vectors[mode]`` replaced by
+    the basis vector ``e_b``: the delta is linear in that vector, so the
+    columns span every delta reachable by varying it alone.
+    """
+    columns = []
+    for b in range(core.shape[mode]):
+        d = [np.asarray(v, dtype=float) for v in d_vectors]
+        d[mode] = np.eye(core.shape[mode])[b]
+        columns.append(tera_delta_by_loops(core, factors, d, split).ravel())
+    return np.stack(columns, axis=1)
+
+
 def integer_tensor(rng, shape, low=-9, high=10):
     """Random tensor with small integer-valued float entries.
 

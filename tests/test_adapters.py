@@ -27,7 +27,7 @@ from tera.tensor_ops import TensorizationScheme, unfold
 
 import checkpoint_docs
 from checkpoint_docs import FAMILIES, MALFORMED, malformed_doc, valid_doc, write
-from oracles import tera_delta_by_loops
+from oracles import tera_delta_by_loops, tera_design_by_loops
 
 SMALL = TensorizationScheme((2, 2, 2, 2), split=2)
 
@@ -204,6 +204,46 @@ class TestMaterialize:
     def test_not_an_adapter_rejected(self):
         with pytest.raises(TypeError):
             materialize_delta(np.zeros((2, 2)))
+
+
+# The scheme pools of acceptance criteria 5 and 6, a reduced-rank scheme and
+# identity factors (which need full ranks).
+DESIGN_CASES = [
+    (TensorizationScheme((4, 2, 2), split=1), False),
+    (TensorizationScheme((2, 2, 2, 2), split=2), False),
+    (TensorizationScheme((4, 4), split=1), False),
+    (TensorizationScheme((2, 4, 4, 2), split=2), False),
+    (TensorizationScheme((16, 4, 4), split=1), False),
+    (TensorizationScheme((4, 4, 4, 4), split=2), False),
+    (TensorizationScheme((2, 8, 8, 2), split=2), False),
+    (TensorizationScheme((8, 2, 2, 2), split=1), False),
+    (TensorizationScheme((2, 2, 2, 2, 2, 2), split=3), False),
+    (TensorizationScheme((4, 4, 2), split=1, ranks=(2, 3, 2)), False),
+    (TensorizationScheme((2, 2, 2, 2), split=2), True),
+    (TensorizationScheme((4, 2, 2), split=1), True),
+]
+
+
+class TestDesignMatrix:
+    @pytest.mark.parametrize("case", range(len(DESIGN_CASES)), ids=[
+        f"{s.mode_sizes}-split{s.split}-ranks{s.ranks}" + ("-identity" if i else "")
+        for s, i in DESIGN_CASES])
+    def test_matches_per_basis_oracle_and_materialization(self, case):
+        scheme, identity = DESIGN_CASES[case]
+        a = init_tera(scheme.rows, scheme.cols, scheme, FrozenFactorStore(40 + case),
+                      identity_factors=identity)
+        rng = np.random.default_rng(50 + case)
+        for d in a.d_vectors:
+            d[:] = rng.standard_normal(d.shape)
+        factors = [a.factor(m) for m in range(scheme.order)]
+        delta = materialize_delta(a).ravel()
+        for mode in range(scheme.order):
+            phi = a.design_matrix(mode)
+            expected = tera_design_by_loops(a.core, factors, a.d_vectors, scheme.split, mode)
+            assert phi.shape == (scheme.rows * scheme.cols, scheme.ranks[mode])
+            assert np.linalg.norm(phi - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert np.linalg.norm(phi @ a.d_vectors[mode] - delta) <= (
+                1e-12 * np.linalg.norm(delta))
 
 
 class TestApplyDelta:

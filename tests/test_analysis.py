@@ -26,7 +26,7 @@ from tera.analysis import (
     verify_rank_bound,
 )
 from tera.tensor_ops import TensorizationScheme, kron_chain, pseudoinverse, unfold
-from tera.training import planted_recovery_task, write_csv, write_json
+from tera.training import als_approx_error, planted_recovery_task, write_csv, write_json
 
 EIGHT = TensorizationScheme((2, 4, 2, 4), split=2)
 
@@ -220,6 +220,18 @@ class TestExpressivityBound:
             report.terms["spectral_norm_estimate"] ** 2
             <= report.terms["z_frob_sq"] + 1e-8
         )
+
+    def test_terms_record_whether_als_was_still_moving(self):
+        adapter = eight_by_eight_adapter(master_seed=24)
+        w_star = np.random.default_rng(8).standard_normal((8, 8))
+        args = dict(sweeps=4, polish_steps=0, seed=2)
+        report = verify_expressivity_bound(w_star, adapter, **args)
+        als = als_approx_error(adapter, w_star, **args)
+        before, last = als.sweep_values[-2:]
+        assert report.terms["als_last_sweep_rel_change"] == (before - last) / before
+        assert report.terms["als_last_sweep_rel_change"] >= -1e-12
+        one_sweep = verify_expressivity_bound(w_star, adapter, **dict(args, sweeps=1))
+        assert one_sweep.terms["als_last_sweep_rel_change"] is None
 
     def test_near_zero_core_rejected(self):
         adapter = eight_by_eight_adapter(master_seed=23)

@@ -336,6 +336,44 @@ class TestAls:
         assert len(calls) - 2 * sweep_calls == 25 + 1
         assert polished.value <= unpolished.value
 
+    def test_sweeps_never_materialize(self, monkeypatch):
+        # each subproblem's design matrix comes from one contraction, and a
+        # sweep's objective from the last subproblem's residual
+        adapter = init_tera(4, 4, SMALL, FrozenFactorStore(14))
+        target = gaussian_recovery_task(4, 4, seed=14).target
+        calls = count_materializations(monkeypatch)
+        als_approx_error(adapter, target, sweeps=3, polish_steps=0)
+        assert len(calls) == 0
+        als_approx_error(adapter, target, sweeps=3, polish_steps=7)
+        assert len(calls) == 7 + 1
+
+    @pytest.mark.parametrize("kind", ["planted", "gaussian"])
+    def test_sweep_objective_is_the_true_residual(self, kind):
+        scheme = TensorizationScheme((2, 4, 2, 4), split=2)
+        store = FrozenFactorStore(17)
+        if kind == "planted":
+            target = planted_recovery_task(scheme, store, seed=3).target
+        else:
+            target = gaussian_recovery_task(8, 8, seed=17).target
+        adapter = init_tera(8, 8, scheme, store)
+        result = als_approx_error(adapter, target, sweeps=10, polish_steps=0, seed=4)
+        assert result.value == result.sweep_values[-1]
+        best = adapter.clone()
+        for d, value in zip(best.d_vectors, result.d_vectors):
+            d[:] = value
+        diff = target - materialize_delta(best, path="kron")
+        scale = float(np.sum(target * target))
+        assert abs(float(np.sum(diff * diff)) - result.value) <= 1e-10 * scale
+
+    def test_last_sweep_rel_change(self):
+        def change(values):
+            return AlsResult(0.0, [], 0, values).last_sweep_rel_change
+
+        assert change([8.0, 4.0, 1.0]) == 0.75
+        assert change([2.0, 2.0]) == 0.0
+        assert change([0.0, 0.0]) == 0.0
+        assert change([3.0]) is None
+
     def test_single_sweep_matches_independent_least_squares(self):
         # Order-2 network: reconstruct one cyclic sweep with closed-form basis
         # matrices built straight from the element-wise definition.
@@ -451,6 +489,15 @@ class TestMlpAdapt:
             == report.metrics["base_target_accuracy"]
         )
         assert report.loss_curve  # still non-empty: the step-0 evaluation
+
+    def test_one_materialization_per_layer_and_evaluated_step(self, monkeypatch):
+        # steps 0..max_steps materialize each of the 3 layers once; the
+        # report's ranks reuse the final step's deltas
+        task = tiny_task()
+        calls = count_materializations(monkeypatch)
+        cfg = OptimizerConfig(max_steps=10, warmup_steps=0)
+        fit_mlp_adapt(task, "tera", cfg, store=FrozenFactorStore(0))
+        assert len(calls) == 11 * 3
 
     def test_adaptation_improves_target_accuracy(self):
         task = tiny_task()
