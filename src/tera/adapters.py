@@ -198,6 +198,12 @@ class TeraAdapter:
     family = "tera"
 
     @property
+    def variant(self):
+        """The family name runs and reports use: identity factors make
+        ``tera_iden``."""
+        return "tera_iden" if self.identity_factors else self.family
+
+    @property
     def shape(self):
         return (self.scheme.rows, self.scheme.cols)
 
@@ -301,7 +307,7 @@ class LoraAdapter:
     b: np.ndarray  # (rank, j2), zero at init so the delta starts at zero
     rank: int
 
-    family = "lora"
+    family = variant = "lora"
 
     @property
     def shape(self):
@@ -348,7 +354,7 @@ class VeraAdapter:
     master_seed: int
     d_init: float = 0.1
 
-    family = "vera"
+    family = variant = "vera"
 
     @property
     def shape(self):
@@ -408,7 +414,7 @@ class HiraAdapter:
     rank: int
     w0_provenance: dict | None = None
 
-    family = "hira"
+    family = variant = "hira"
 
     @property
     def shape(self):
@@ -507,13 +513,20 @@ def init_tera(j1, j2, scheme, store, zero_init_mode=None, identity_factors=False
     )
 
 
+def _check_rank(rank):
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+
+
 def init_lora(j1, j2, rank, seed=0):
+    _check_rank(rank)
     rng = np.random.default_rng(seed)
     a = _kaiming_uniform(rng, (j1, rank), j1 + rank)
     return LoraAdapter(a=a, b=np.zeros((rank, j2)), rank=rank)
 
 
 def init_vera(j1, j2, rank, store, d_init=0.1):
+    _check_rank(rank)
     b_frozen, a_frozen = store.vera_pair(j1, j2, rank)
     return VeraAdapter(
         b_frozen=b_frozen,
@@ -529,6 +542,7 @@ def init_vera(j1, j2, rank, store, d_init=0.1):
 def init_hira(j1, j2, rank, w0=None, seed=0, w0_seed=None):
     """Hadamard-masked adapter. Supply w0 directly or a w0_seed to generate a
     synthetic base weight with recorded provenance."""
+    _check_rank(rank)
     if w0 is None:
         if w0_seed is None:
             raise ValueError("init_hira needs either w0 or w0_seed")
@@ -554,16 +568,23 @@ def _tera_delta_mode_products(a: TeraAdapter):
     return unfold(t, a.scheme.split)
 
 
+def _tera_kron_sides(a: TeraAdapter):
+    """``(left, right)``, rows x rank_rows and cols x rank_cols, with
+    delta == left @ unfold(core scaled by the d vectors) @ right.T."""
+    k = a.scheme.split
+    left = kron_chain([a.factor(i).T for i in range(k)])
+    right = kron_chain([a.factor(i).T for i in range(k, a.scheme.order)])
+    return left, right
+
+
 def _tera_delta_kronecker(a: TeraAdapter):
     core_scaled = a.core
     for i, d in enumerate(a.d_vectors):
         shape = [1] * a.scheme.order
         shape[i] = -1
         core_scaled = core_scaled * d.reshape(shape)
-    k = a.scheme.split
-    left = kron_chain([a.factor(i).T for i in range(k)])
-    right = kron_chain([a.factor(i).T for i in range(k, a.scheme.order)])
-    return left @ unfold(core_scaled, k) @ right.T
+    left, right = _tera_kron_sides(a)
+    return left @ unfold(core_scaled, a.scheme.split) @ right.T
 
 
 def tera_gradient(adapter: TeraAdapter, upstream: np.ndarray):

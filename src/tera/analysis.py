@@ -24,14 +24,15 @@ from .adapters import (
     FrozenFactorStore,
     TeraAdapter,
     _checked,
+    _tera_kron_sides,
     clone_trainable,
     init_tera,
     materialize_delta,
 )
 from .tensor_ops import (
     TensorizationScheme,
+    _spectrum_rank,
     frobenius_norm,
-    kron_chain,
     numerical_rank,
     pseudoinverse,
     tensor_spectral_norm,
@@ -207,20 +208,14 @@ def verify_param_bound(j1: int, j2: int, limit: int = 10_000) -> BoundReport:
 MIN_CORE_MAGNITUDE = 1e-10
 
 
-def _expressivity_convention_check(adapter: TeraAdapter, left, right):
-    # The factored form must reproduce the network before the bound is
-    # trusted; probe with a throwaway non-zero scaling assignment.
+def _expressivity_convention_check(adapter: TeraAdapter):
+    # The factored (Kronecker) form must reproduce the network before the
+    # bound is trusted; probe with a throwaway non-zero scaling assignment.
     probe = clone_trainable(adapter)
     rng = np.random.default_rng(0)
     for d in probe.d_vectors:
         d[:] = rng.standard_normal(d.shape)
-    scale = np.ones(())
-    for i, d in enumerate(probe.d_vectors):
-        shape = [1] * adapter.scheme.order
-        shape[i] = d.size
-        scale = scale * d.reshape(shape)
-    core_scaled = unfold(adapter.core * scale, adapter.scheme.split)
-    via_kron = left @ core_scaled @ right.T
+    via_kron = probe.delta(path="kron")
     via_modes = materialize_delta(probe, path="mode")
     if not np.allclose(via_kron, via_modes, rtol=0, atol=1e-8):
         raise RuntimeError("factored form disagrees with mode-product form")
@@ -262,10 +257,8 @@ def verify_expressivity_bound(
         )
 
     k = scheme.split
-    factors = [adapter.factor(i) for i in range(scheme.order)]
-    left = kron_chain([f.T for f in factors[:k]])  # rows x rank_rows
-    right = kron_chain([f.T for f in factors[k:]])  # cols x rank_cols
-    _expressivity_convention_check(adapter, left, right)
+    left, right = _tera_kron_sides(adapter)
+    _expressivity_convention_check(adapter)
 
     left_pinv = pseudoinverse(left)
     right_pinv = pseudoinverse(right)
@@ -352,15 +345,15 @@ def rank_report(entries, rel_tol: float = 1e-8) -> RankReport:
     """Rank table for (layer, family, adapter) triples.
 
     The full singular spectrum is kept alongside each row so the tail
-    profile can be plotted without re-materializing anything.
+    profile can be plotted without re-materializing anything. Ranks follow
+    ``numerical_rank``'s rule, so ``rel_tol`` must lie in (0, 1).
     """
     rows = []
     spectra = {}
     for layer, family, adapter in entries:
         delta = materialize_delta(adapter)
         svals = np.linalg.svd(delta, compute_uv=False)
-        top = svals[0] if svals.size else 0.0
-        rank = int(np.count_nonzero(svals > rel_tol * top)) if top > 0 else 0
+        rank = _spectrum_rank(svals, rel_tol)
         values = (layer, family, rank, structural_max_rank(adapter), rel_tol)
         rows.append(dict(zip(RANK_COLUMNS, values)))
         spectra[f"{layer}/{family}"] = [float(s) for s in svals]

@@ -6,13 +6,15 @@ Conventions shared by every subcommand:
 * scheme syntax is `a,b|c,d` (mode sizes left/right of the split), with
   `n^m` shorthand for m equal modes and `J1|c,d` for one-sided
   tensorization; a bare group like `2^24` needs an explicit --split;
-* a JSON config file may supply any flag (keys use underscores), with
-  explicit command-line flags taking precedence;
+* a JSON config file may supply any flag of its command (keys use
+  underscores), with explicit command-line flags taking precedence; a key
+  that names no flag of the command is refused;
 * whenever a command writes files, the fully resolved configuration is
   written next to them, and rerunning with the same configuration
   reproduces every CSV byte for byte;
-* exit codes: 0 success, 2 bad configuration, 3 training divergence,
-  4 a verified bound reported "violated", 5 missing artifact.
+* exit codes: 0 success, 2 bad configuration or a path that cannot be
+  read or written, 3 training divergence, 4 a verified bound reported
+  "violated", 5 missing artifact.
 """
 
 import argparse
@@ -247,6 +249,7 @@ def _diverged(exc, args, out):
 
 
 def _fit_recovery(args, out):
+    cfg = _optimizer_config(args)
     j1, j2 = parse_shape(args.shape)
     scheme = None
     if args.scheme:
@@ -281,7 +284,6 @@ def _fit_recovery(args, out):
     else:
         task = gaussian_recovery_task(j1, j2, seed=args.target_seed)
 
-    cfg = _optimizer_config(args)
     try:
         report = fit_recovery(adapter, task, cfg)
     except DivergenceError as exc:
@@ -310,12 +312,12 @@ def _mlp_task_regen_kwargs(args):
 
 
 def _fit_mlp(args, out):
+    cfg = _optimizer_config(args)
     kwargs = _mlp_task_regen_kwargs(args)
     kwargs["layer_sizes"] = tuple(kwargs["layer_sizes"])
     task = make_mlp_adapt_task(**kwargs)
     store = FrozenFactorStore(args.master_seed)
     scheme = parse_scheme(args.scheme, args.split) if args.scheme else None
-    cfg = _optimizer_config(args)
     try:
         report, adapters = fit_mlp_adapt(
             task, args.family, cfg,
@@ -381,13 +383,9 @@ def _load_any_checkpoint(path, task_cache):
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise CliError(EXIT_CONFIG, f"cannot rebuild the base weight of {path}: {exc!r}")
     try:
-        adapter = load_checkpoint(path, store=store, base_weight=base_weight)
+        return load_checkpoint(path, store=store, base_weight=base_weight)
     except CheckpointError as exc:
         raise CliError(EXIT_CONFIG, f"cannot load {path}: {exc}")
-    family = adapter.family
-    if family == "tera" and adapter.identity_factors:
-        family = "tera_iden"
-    return adapter, family
 
 
 def cmd_rank_report(args):
@@ -403,9 +401,9 @@ def cmd_rank_report(args):
     task_cache = {}
     for i, raw in enumerate(args.checkpoints):
         path = Path(raw)
-        adapter, family = _load_any_checkpoint(path, task_cache)
+        adapter = _load_any_checkpoint(path, task_cache)
         layer = labels[i] if labels else path.stem
-        entries.append((layer, family, adapter))
+        entries.append((layer, adapter.variant, adapter))
     report = rank_report(entries, rel_tol=args.rel_tol)
     write_csv(
         out / "ranks.csv",
@@ -591,7 +589,8 @@ def cmd_ablate(args):
 
 def cmd_checkpoint_inspect(args):
     path = Path(args.path)
-    adapter, family = _load_any_checkpoint(path, {})
+    adapter = _load_any_checkpoint(path, {})
+    family = adapter.variant
     print(f"file: {path}")
     print(f"format_version: {CHECKPOINT_FORMAT_VERSION}")
     print(f"family: {family}")
@@ -750,6 +749,17 @@ def _apply_config_file(parser, argv):
     doc.pop("format_version", None)
     doc.pop("command", None)
     defaults = {k.replace("-", "_"): v for k, v in doc.items()}
+    # a key that names no flag of the command would otherwise be ignored,
+    # then echoed into resolved_config.json as if it were a setting
+    parsed = vars(parser.parse_args(argv))
+    flags = set(parsed) - {"func", "config", "command", "checkpoint_command"}
+    unknown = [k for k in doc if k.replace("-", "_") not in flags]
+    if unknown:
+        raise CliError(
+            EXIT_CONFIG,
+            f"config file {path} has keys that name no flag of "
+            f"{parsed['command']}: {', '.join(unknown)}",
+        )
     for p in parser._tera_parsers:
         p.set_defaults(**defaults)
 
@@ -764,7 +774,7 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ValueError, CheckpointError) as exc:
+    except (ValueError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -224,9 +224,14 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float = 1e-8) -> int:
     The tolerance is relative, so the result is invariant under scaling the
     input by any nonzero constant. A zero matrix has rank 0.
     """
+    return _spectrum_rank(np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False),
+                          rel_tol)
+
+
+def _spectrum_rank(s, rel_tol):
+    # numerical_rank's rule on singular values sorted in descending order
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must lie strictly between 0 and 1")
-    s = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))

@@ -115,6 +115,12 @@ class OptimizerConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.max_steps < 0 or self.warmup_steps < 0:
             raise ValueError("step counts must be non-negative")
+        for name in ("learning_rate", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+            raise ValueError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
 
     def to_dict(self):
         return dict(dataclasses.asdict(self), betas=list(self.betas))
@@ -316,7 +322,44 @@ def _check_divergence(step, loss, initial_loss, partial_report_fn):
 
 
 # ---------------------------------------------------------------------------
-# Recovery fitting
+# Adapter fitting
+
+
+def _fit_adapters(adapters, objective, cfg, config, metrics) -> TrainReport:
+    """The loop of every adapter fit, in place over ``adapters`` (name ->
+    adapter, named as in ``delta_ranks``).
+
+    Steps 0..max_steps are evaluated with one optimizer step between two.
+    ``objective(deltas)`` returns the loss and, per name, its derivative by
+    that delta. A loss that is non-finite or above DIVERGENCE_FACTOR times
+    step 0's raises DivergenceError with the partial report. The report
+    ranks the last evaluated deltas and records ``config`` and
+    ``metrics(deltas)``.
+    """
+    t0 = time.perf_counter()
+    opt = _Optimizer(cfg, [arr for a in adapters.values() for arr in a.trainable_arrays()])
+    curve = []
+
+    def report(loss, deltas):
+        return TrainReport(
+            loss_curve=list(curve),
+            final_loss=loss,
+            wall_time_seconds=time.perf_counter() - t0,
+            trainable_param_count=sum(trainable_param_count(a) for a in adapters.values()),
+            delta_ranks={name: numerical_rank(d) for name, d in deltas.items()},
+            config=config,
+            metrics=metrics(deltas),
+        )
+
+    for step in range(cfg.max_steps + 1):
+        deltas = {name: materialize_delta(a) for name, a in adapters.items()}
+        loss, upstream = objective(deltas)
+        curve.append((step, loss))
+        _check_divergence(step, loss, curve[0][1], lambda: report(loss, deltas))
+        if step < cfg.max_steps:
+            opt.step([g for name, a in adapters.items()
+                      for g in delta_gradient(a, upstream[name])])
+    return report(loss, deltas)
 
 
 def fit_recovery(adapter, task: RecoveryTask, cfg: OptimizerConfig) -> TrainReport:
@@ -328,41 +371,20 @@ def fit_recovery(adapter, task: RecoveryTask, cfg: OptimizerConfig) -> TrainRepo
     """
     if adapter.shape != task.shape:
         raise ValueError(f"adapter shape {adapter.shape} != target {task.shape}")
-    t0 = time.perf_counter()
-    opt = _Optimizer(cfg, adapter.trainable_arrays())
-    curve = []
     target_norm = float(np.linalg.norm(task.target))
 
-    def build_report(final_loss, delta):
-        residual = float(np.linalg.norm(delta - task.target))
-        return TrainReport(
-            loss_curve=list(curve),
-            final_loss=final_loss,
-            wall_time_seconds=time.perf_counter() - t0,
-            trainable_param_count=trainable_param_count(adapter),
-            delta_ranks={"adapter": numerical_rank(delta)},
-            config={
-                "task": task.describe(),
-                "optimizer": cfg.to_dict(),
-                "family": adapter.family,
-                "shape": list(adapter.shape),
-            },
-            metrics={
-                "final_residual": residual,
-                "final_relative_residual": residual / max(target_norm, 1e-30),
-            },
-        )
+    def objective(deltas):
+        diff = deltas["adapter"] - task.target
+        return 0.5 * float(np.sum(diff * diff)), {"adapter": diff}
 
-    # Step max_steps only evaluates the final state.
-    for step in range(cfg.max_steps + 1):
-        delta = materialize_delta(adapter)
-        diff = delta - task.target
-        loss = 0.5 * float(np.sum(diff * diff))
-        curve.append((step, loss))
-        _check_divergence(step, loss, curve[0][1], lambda: build_report(loss, delta))
-        if step < cfg.max_steps:
-            opt.step(delta_gradient(adapter, diff))
-    return build_report(loss, delta)
+    def metrics(deltas):
+        residual = float(np.linalg.norm(deltas["adapter"] - task.target))
+        return {"final_residual": residual,
+                "final_relative_residual": residual / max(target_norm, 1e-30)}
+
+    config = {"task": task.describe(), "optimizer": cfg.to_dict(),
+              "family": adapter.variant, "shape": list(adapter.shape)}
+    return _fit_adapters({"adapter": adapter}, objective, cfg, config, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +566,19 @@ class MlpAdaptTask:
 
 
 def _mlp_forward(weights, x):
-    h = x
-    for w in weights[:-1]:
-        h = np.tanh(h @ w.T)
-    return h @ weights[-1].T
+    """The input followed by every layer's output: tanh after each hidden
+    layer, none after the last."""
+    activations = [x]
+    for layer, w in enumerate(weights):
+        h = activations[-1] @ w.T
+        if layer < len(weights) - 1:
+            np.tanh(h, out=h)
+        activations.append(h)
+    return activations
 
 
 def mlp_predict(weights, x, n_classes):
-    return np.argmax(_mlp_forward(weights, x)[:, :n_classes], axis=1)
+    return np.argmax(_mlp_forward(weights, x)[-1][:, :n_classes], axis=1)
 
 
 def mlp_accuracy(weights, data, n_classes) -> float:
@@ -561,12 +588,8 @@ def mlp_accuracy(weights, data, n_classes) -> float:
 
 def _mlp_loss_and_grads(weights, x, y, n_classes):
     """Cross-entropy on the first ``n_classes`` outputs; gradients per weight."""
-    activations = [x]
-    h = x
-    for layer, w in enumerate(weights):
-        z = h @ w.T
-        h = np.tanh(z) if layer < len(weights) - 1 else z
-        activations.append(h)
+    activations = _mlp_forward(weights, x)
+    h = activations[-1]
     scores = h[:, :n_classes]
     shifted = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -585,6 +608,20 @@ def _mlp_loss_and_grads(weights, x, y, n_classes):
         grads[layer] = dz.T @ activations[layer]
         dh = dz @ weights[layer]
     return loss, grads
+
+
+def _train_weights(weights, data, n_classes, cfg: OptimizerConfig):
+    """The full-weight loop: ``cfg.max_steps`` optimizer steps on every MLP
+    weight in place. Raises DivergenceError, without a report, on a loss that
+    is non-finite or above DIVERGENCE_FACTOR times step 0's."""
+    opt = _Optimizer(cfg, weights)
+    x, y = data
+    for step in range(cfg.max_steps):
+        loss, grads = _mlp_loss_and_grads(weights, x, y, n_classes)
+        if step == 0:
+            initial_loss = loss
+        _check_divergence(step, loss, initial_loss, lambda: None)
+        opt.step(grads)
 
 
 def make_mlp_adapt_task(
@@ -650,11 +687,7 @@ def make_mlp_adapt_task(
         max_steps=pretrain_steps,
         seed=seed,
     )
-    opt = _Optimizer(pretrain_cfg, weights)
-    x, y = source_train
-    for _ in range(pretrain_steps):
-        _, grads = _mlp_loss_and_grads(weights, x, y, n_classes)
-        opt.step(grads)
+    _train_weights(weights, source_train, n_classes, pretrain_cfg)
     for w in weights:
         w.setflags(write=False)
 
@@ -726,79 +759,37 @@ def fit_mlp_adapt(
     read-only throughout. The report records target-task accuracy before and
     after adaptation plus each delta's numerical rank.
     """
-    t0 = time.perf_counter()
     adapters = {}
     for layer in task.attach_layers:
-        j1, j2 = task.base_weights[layer].shape
-        adapters[layer] = build_adapter(
-            family,
-            j1,
-            j2,
-            store=store,
-            scheme=scheme,
-            rank=rank,
-            seed=adapter_seed + layer,
-            w0=task.base_weights[layer],
-        )
-    all_arrays = []
-    for layer in task.attach_layers:
-        all_arrays.extend(adapters[layer].trainable_arrays())
-    opt = _Optimizer(cfg, all_arrays)
-
+        w0 = task.base_weights[layer]
+        adapters[layer] = build_adapter(family, *w0.shape, store=store, scheme=scheme,
+                                        rank=rank, seed=adapter_seed + layer, w0=w0)
     x, y = task.target_train
     base_accuracy = mlp_accuracy(task.base_weights, task.target_test, task.n_classes)
 
-    def effective_weights():
-        deltas = {layer: materialize_delta(a) for layer, a in adapters.items()}
-        out = list(task.base_weights)
-        for layer, delta in deltas.items():
-            out[layer] = out[layer] + delta
-        return out, deltas
+    def adapted(deltas):
+        weights = list(task.base_weights)
+        for layer in adapters:
+            weights[layer] = weights[layer] + deltas[f"layer{layer}"]
+        return weights
 
-    def build_report(final_loss, weights, deltas):
-        ranks = {f"layer{layer}": numerical_rank(d) for layer, d in deltas.items()}
-        return TrainReport(
-            loss_curve=list(curve),
-            final_loss=final_loss,
-            wall_time_seconds=time.perf_counter() - t0,
-            trainable_param_count=sum(
-                trainable_param_count(a) for a in adapters.values()
-            ),
-            delta_ranks=ranks,
-            config={
-                "task": task.describe(),
-                "optimizer": cfg.to_dict(),
-                "family": family,
-                "rank": rank,
-                "scheme": None if scheme is None else scheme.to_dict(),
-                "adapter_seed": adapter_seed,
-            },
-            metrics={
-                "base_target_accuracy": base_accuracy,
-                "target_test_accuracy": mlp_accuracy(
-                    weights, task.target_test, task.n_classes
-                ),
-                "target_train_accuracy": mlp_accuracy(
-                    weights, task.target_train, task.n_classes
-                ),
-            },
-        )
+    def objective(deltas):
+        loss, grads = _mlp_loss_and_grads(adapted(deltas), x, y, task.n_classes)
+        return loss, {f"layer{layer}": grads[layer] for layer in adapters}
 
-    curve = []
-    # Step max_steps only evaluates the final state.
-    for step in range(cfg.max_steps + 1):
-        weights, deltas = effective_weights()
-        loss, weight_grads = _mlp_loss_and_grads(weights, x, y, task.n_classes)
-        curve.append((step, loss))
-        _check_divergence(
-            step, loss, curve[0][1], lambda: build_report(loss, weights, deltas)
-        )
-        if step < cfg.max_steps:
-            grads = []
-            for layer in task.attach_layers:
-                grads.extend(delta_gradient(adapters[layer], weight_grads[layer]))
-            opt.step(grads)
-    return build_report(loss, weights, deltas), adapters
+    def metrics(deltas):
+        weights = adapted(deltas)
+        return {
+            "base_target_accuracy": base_accuracy,
+            "target_test_accuracy": mlp_accuracy(weights, task.target_test, task.n_classes),
+            "target_train_accuracy": mlp_accuracy(weights, task.target_train, task.n_classes),
+        }
+
+    config = {"task": task.describe(), "optimizer": cfg.to_dict(), "family": family,
+              "rank": rank, "scheme": None if scheme is None else scheme.to_dict(),
+              "adapter_seed": adapter_seed}
+    named = {f"layer{layer}": a for layer, a in adapters.items()}
+    return _fit_adapters(named, objective, cfg, config, metrics), adapters
 
 
 def finetune_full(task: MlpAdaptTask, cfg: OptimizerConfig):
@@ -809,13 +800,6 @@ def finetune_full(task: MlpAdaptTask, cfg: OptimizerConfig):
     rank analysis of adapter families.
     """
     weights = [w.copy() for w in task.base_weights]
-    opt = _Optimizer(cfg, weights)
-    x, y = task.target_train
-    for step in range(cfg.max_steps):
-        loss, grads = _mlp_loss_and_grads(weights, x, y, task.n_classes)
-        if step == 0:
-            initial_loss = loss
-        _check_divergence(step, loss, initial_loss, lambda: None)
-        opt.step(grads)
+    _train_weights(weights, task.target_train, task.n_classes, cfg)
     updates = [w - b for w, b in zip(weights, task.base_weights)]
     return weights, updates

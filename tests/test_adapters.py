@@ -138,6 +138,17 @@ class TestInit:
         with pytest.raises(ValueError):
             init_tera(4, 4, SMALL, store, zero_init_mode=4)
 
+    @pytest.mark.parametrize("family", ["lora", "vera", "hira"])
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_low_rank_families_refuse_rank_below_one(self, family, rank):
+        init = {
+            "lora": lambda: init_lora(4, 4, rank),
+            "vera": lambda: init_vera(4, 4, rank, FrozenFactorStore(0)),
+            "hira": lambda: init_hira(4, 4, rank, w0_seed=0),
+        }[family]
+        with pytest.raises(ValueError, match="rank"):
+            init()
+
     def test_hira_needs_w0_or_seed(self):
         with pytest.raises(ValueError):
             init_hira(4, 4, 2)

@@ -290,6 +290,14 @@ class TestRankReport:
         report = rank_report([("l", "lora", lora)])
         assert report.rows[0]["rank"] == 4
 
+    @pytest.mark.parametrize("rel_tol", [0.0, 1.0, 2.0, -1e-8])
+    def test_rel_tol_outside_unit_interval_rejected(self, rel_tol):
+        # numerical_rank's rule, which rank_report counts through
+        with pytest.raises(ValueError, match="rel_tol"):
+            rank_report(self.entries(), rel_tol=rel_tol)
+        with pytest.raises(ValueError, match="rel_tol"):
+            numerical_rank(np.eye(3), rel_tol=rel_tol)
+
     def test_spectra_recorded(self):
         report = rank_report(self.entries())
         assert set(report.spectra) == {

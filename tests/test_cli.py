@@ -212,6 +212,66 @@ class TestFit:
         report = json.loads((tmp_path / "override" / "report.json").read_text())
         assert len(report["loss_curve"]) == 11
 
+    def test_config_key_naming_no_flag_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(
+            {"family": "tera", "learning_rate": 5.0, "max_step": 3}
+        ))
+        out = tmp_path / "run"
+        rc = main(["fit", "--config", str(config), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "learning_rate" in err and "max_step" in err
+        assert "family" not in err.split(":")[-1]
+        assert not out.exists()
+
+    def test_resolved_config_is_accepted_back(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        rc = main(["fit", "--family", "vera", "--shape", "16x16", "--rank", "3",
+                   "--max-steps", "5", "--out", str(first)])
+        assert rc == EXIT_OK
+        again = tmp_path / "again"
+        rc = main(["fit", "--config", str(first / "resolved_config.json"),
+                   "--out", str(again)])
+        assert rc == EXIT_OK
+        assert (again / "loss.csv").read_bytes() == (first / "loss.csv").read_bytes()
+        resolved = json.loads((again / "resolved_config.json").read_text())
+        assert resolved["rank"] == 3 and resolved["out"] == str(again)
+
+    def test_tera_iden_is_named_alike_everywhere(self, tmp_path, capsys):
+        out = tmp_path / "iden"
+        rc = main(["fit", "--family", "tera_iden", "--shape", "16x16",
+                   "--max-steps", "3", "--out", str(out)])
+        assert rc == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["family"] == "tera_iden"
+        capsys.readouterr()
+        assert main(["checkpoint", "inspect", str(out / "checkpoint.json")]) == EXIT_OK
+        assert "family: tera_iden" in capsys.readouterr().out
+        ranks = tmp_path / "ranks"
+        assert main(["rank-report", str(out / "checkpoint.json"),
+                     "--out", str(ranks)]) == EXIT_OK
+        assert "checkpoint,tera_iden," in (ranks / "ranks.csv").read_text()
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--lr", "inf"], "learning_rate"),
+        (["--lr", "-0.1"], "learning_rate"),
+        (["--weight-decay", "nan"], "weight_decay"),
+        (["--family", "lora", "--rank", "0"], "rank"),
+        (["--family", "vera", "--rank", "0"], "rank"),
+        (["--family", "hira", "--rank", "0"], "rank"),
+    ])
+    def test_bad_setting_exits_2_without_checkpoint(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "run"
+        rc = main(["fit", "--family", "tera", "--shape", "16x16", "--max-steps", "3",
+                   *flags, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (out / "checkpoint.json").exists()
+        assert not (out / "report.json").exists()
+
     def test_missing_config_file_exits_5(self, tmp_path, capsys):
         rc = main(["fit", "--config", str(tmp_path / "nope.json")])
         assert rc == EXIT_MISSING
@@ -280,6 +340,16 @@ class TestRankReport:
         rc = main(["rank-report", *paths, "--labels", "q",
                    "--out", str(tmp_path / "r")])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("rel_tol", ["2", "0"])
+    def test_rel_tol_outside_unit_interval_exits_2(self, tmp_path, capsys, rel_tol):
+        paths = self.make_checkpoints(tmp_path)
+        rc = main(["rank-report", *paths, "--rel-tol", rel_tol,
+                   "--out", str(tmp_path / "ranks")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rel_tol" in err
+        assert not (tmp_path / "ranks" / "ranks.csv").exists()
 
     def test_missing_checkpoint_exits_5(self, tmp_path, capsys):
         rc = main(["rank-report", str(tmp_path / "ghost.json"),
@@ -426,3 +496,27 @@ class TestCheckpointInspect:
                      ["rank-report", str(path), "--out", str(tmp_path / "ranks")]):
             assert main(argv) == EXIT_CONFIG
             assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestUnreadablePaths:
+    @pytest.mark.parametrize("case", [
+        "inspect-a-directory", "rank-report-a-directory", "config-a-directory",
+        "out-an-existing-file",
+    ])
+    def test_os_error_exits_2(self, tmp_path, capsys, case):
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        existing = tmp_path / "file.txt"
+        existing.write_text("x")
+        argv = {
+            "inspect-a-directory": ["checkpoint", "inspect", str(directory)],
+            "rank-report-a-directory":
+                ["rank-report", str(directory), "--out", str(tmp_path / "r")],
+            "config-a-directory": ["fit", "--config", str(directory)],
+            "out-an-existing-file":
+                ["fit", "--family", "lora", "--max-steps", "1", "--out", str(existing)],
+        }[case]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err

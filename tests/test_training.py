@@ -190,6 +190,19 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             OptimizerConfig(algorithm="nesterov")
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", np.inf), ("learning_rate", np.nan), ("learning_rate", -1e-3),
+        ("weight_decay", np.nan), ("weight_decay", -np.inf), ("weight_decay", -0.1),
+        ("betas", (1.0, 0.999)), ("betas", (0.9, -0.1)), ("betas", (0.9, np.nan)),
+        ("betas", (0.9,)),
+    ])
+    def test_bad_settings_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: value})
+
+    def test_boundary_settings_accepted(self):
+        OptimizerConfig(learning_rate=0.0, weight_decay=0.0, betas=(0.0, 0.0))
+
 
 class TestRecoveryTasks:
     def test_generators_reproducible(self):
@@ -297,6 +310,17 @@ class TestFitRecovery:
         adapter = init_tera(4, 4, SMALL, FrozenFactorStore(0))
         with pytest.raises(ValueError):
             fit_recovery(adapter, gaussian_recovery_task(4, 5, seed=0), self.cfg())
+
+    @pytest.mark.parametrize("family", ["tera", "tera_iden", "lora", "vera", "hira"])
+    def test_report_names_the_variant(self, family):
+        scheme = TensorizationScheme((4, 2, 2), split=1)
+        adapter = training.build_adapter(
+            family, 4, 4, store=FrozenFactorStore(0), scheme=scheme, rank=2,
+            w0=synthetic_base_weight(4, 4, 0),
+        )
+        task = gaussian_recovery_task(4, 4, seed=0)
+        report = fit_recovery(adapter, task, self.cfg(max_steps=2))
+        assert report.config["family"] == family
 
     def test_one_materialization_per_evaluated_step(self, monkeypatch):
         # steps 0..max_steps each materialize once; the step-0 loss is the
