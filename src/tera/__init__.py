@@ -79,8 +79,6 @@ from .training import (
     planted_recovery_task,
     prescribed_rank_recovery_task,
     prescribed_spectrum_recovery_task,
-    recovery_gradients,
-    recovery_loss,
     tera_gradient,
     write_csv,
     write_json,
@@ -149,8 +147,6 @@ __all__ = [
     "prescribed_rank_recovery_task",
     "prescribed_spectrum_recovery_task",
     "planted_recovery_task",
-    "recovery_loss",
-    "recovery_gradients",
     "TrainReport",
     "write_json",
     "write_csv",

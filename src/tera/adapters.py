@@ -219,6 +219,14 @@ class TeraAdapter:
     def trainable_arrays(self):
         return list(self.d_vectors)
 
+    def network(self):
+        """``(core, factors, d_vectors)``: the delta is the unfolded core
+        scaled on each mode m by ``d_vectors[m]`` and mixed by
+        ``factors[m].T``; a None factor is the identity."""
+        if self.identity_factors:
+            return self.core, (None,) * self.scheme.order, self.d_vectors
+        return self.core, self.entry.factors, self.d_vectors
+
     def delta(self, path="mode"):
         if path == "mode":
             return _tera_delta_mode_products(self)
@@ -316,6 +324,9 @@ class LoraAdapter:
     def trainable_arrays(self):
         return [self.a, self.b]
 
+    def network(self):
+        return None  # both factors train: no frozen network
+
     def delta(self, path="mode"):
         return self.a @ self.b
 
@@ -362,6 +373,11 @@ class VeraAdapter:
 
     def trainable_arrays(self):
         return [self.b, self.d]
+
+    def network(self):
+        # A two-mode network: core B, the identity on the rows and A on the
+        # columns, scaled by b and d (TeraAdapter.network's form).
+        return self.b_frozen, (None, self.a_frozen), [self.b, self.d]
 
     def delta(self, path="mode"):
         return self.b[:, None] * (self.b_frozen @ (self.d[:, None] * self.a_frozen))
@@ -422,6 +438,9 @@ class HiraAdapter:
 
     def trainable_arrays(self):
         return [self.a, self.b]
+
+    def network(self):
+        return None  # both factors train under the mask: no frozen network
 
     def delta(self, path="mode"):
         return (self.a @ self.b) * self.w0
@@ -587,38 +606,51 @@ def _tera_delta_kronecker(a: TeraAdapter):
     return left @ unfold(core_scaled, a.scheme.split) @ right.T
 
 
+def _pull(tensor, matrices):
+    """``tensor`` times ``matrices[m]`` on every mode m (``mode_n_product``);
+    a None matrix is the identity and costs nothing."""
+    for m, matrix in enumerate(matrices):
+        if matrix is not None:
+            tensor = mode_n_product(tensor, matrix, m)
+    return tensor
+
+
+def _reduce_by_d_vectors(weighted, d_vectors):
+    """Per mode i, ``weighted`` summed against every other mode's d vector:
+    ``g_i[r] = sum of weighted[..., r, ...] * prod_{m != i} d_m[r_m]``.
+
+    Contracting the modes before i from the left leaves a ``(ranks[i],
+    rest)`` matrix, multiplied by the outer product of the d vectors after
+    i: O(order * core) in all. No division by d entries, so zero d vectors
+    are safe, and a zero slice of ``weighted`` gives an exactly zero entry.
+    """
+    suffixes = [np.ones(1)]  # suffixes[-1 - i]: outer product of d_{i+1..}
+    for d in reversed(d_vectors[1:]):
+        suffixes.append(np.multiply.outer(d, suffixes[-1]).ravel())
+    grads = []
+    prefix = weighted
+    for i, d in enumerate(d_vectors):
+        prefix = np.reshape(prefix, (d.size, -1))
+        grads.append(prefix @ suffixes[-1 - i])
+        prefix = d @ prefix
+    return grads
+
+
 def tera_gradient(adapter: TeraAdapter, upstream: np.ndarray):
     """Gradients of <upstream, delta> with respect to each d vector.
 
     Fold the upstream matrix, pull it through every frozen factor, multiply
-    by the core, and for mode i scale by every other mode's d vector and sum
-    the remaining axes. No division by d entries anywhere, so zero-initialized
-    vectors are safe, and a zero core slice yields an exactly zero gradient
-    entry.
+    by the core, and for mode i sum against every other mode's d vector
+    (``_reduce_by_d_vectors``).
     """
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != adapter.shape:
         raise ValueError(
             f"upstream gradient shape {upstream.shape} != delta shape {adapter.shape}"
         )
-    scheme = adapter.scheme
-    folded = fold(upstream, scheme)
-    pulled = folded
-    for m in range(scheme.order):
-        pulled = mode_n_product(pulled, adapter.factor(m), m)
-    weighted = adapter.core * pulled
-    grads = []
-    for i in range(scheme.order):
-        scaled = weighted
-        for m in range(scheme.order):
-            if m == i:
-                continue
-            shape = [1] * scheme.order
-            shape[m] = -1
-            scaled = scaled * adapter.d_vectors[m].reshape(shape)
-        axes = tuple(m for m in range(scheme.order) if m != i)
-        grads.append(scaled.sum(axis=axes))
-    return grads
+    core, factors, d_vectors = adapter.network()
+    pulled = _pull(fold(upstream, adapter.scheme), factors)
+    return _reduce_by_d_vectors(core * pulled, d_vectors)
 
 
 def materialize_delta(adapter, path="mode"):

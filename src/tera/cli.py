@@ -748,7 +748,6 @@ def _apply_config_file(parser, argv):
         raise CliError(EXIT_CONFIG, f"config file {path} must hold a JSON object")
     doc.pop("format_version", None)
     doc.pop("command", None)
-    defaults = {k.replace("-", "_"): v for k, v in doc.items()}
     # a key that names no flag of the command would otherwise be ignored,
     # then echoed into resolved_config.json as if it were a setting
     parsed = vars(parser.parse_args(argv))
@@ -760,8 +759,61 @@ def _apply_config_file(parser, argv):
             f"config file {path} has keys that name no flag of "
             f"{parsed['command']}: {', '.join(unknown)}",
         )
+    actions = _command_actions(parser, parsed)
+    defaults = {}
+    for key, value in doc.items():
+        dest = key.replace("-", "_")
+        try:
+            defaults[dest] = _config_value(actions[dest], value)
+        except (TypeError, ValueError) as exc:
+            raise CliError(EXIT_CONFIG, f"config file {path}: key {key!r} {exc}")
     for p in parser._tera_parsers:
         p.set_defaults(**defaults)
+
+
+def _command_actions(parser, parsed):
+    """The argparse actions of the (sub)command ``parsed`` ran, by dest."""
+    actions = {}
+    while parser is not None:
+        actions.update((a.dest, a) for a in parser._actions)
+        sub = next((a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)), None)
+        parser = sub.choices[parsed[sub.dest]] if sub else None
+    return actions
+
+
+def _config_value(action, value):
+    """A config value as its flag would have parsed it. argparse converts
+    only string defaults, so anything else of the wrong JSON type is
+    refused here (TypeError, ValueError)."""
+    if value is None and action.default is None:
+        return None
+    if action.nargs == 0:  # a store_true switch
+        if type(value) is not bool:
+            raise TypeError(f"must be true or false, got {value!r:.40}")
+        return value
+    if action.nargs in ("*", "+"):
+        if not isinstance(value, list):
+            raise TypeError(f"must be a list, got {value!r:.40}")
+        return [_config_scalar(action, v) for v in value]
+    return _config_scalar(action, value)
+
+
+def _config_scalar(action, value):
+    kind = action.type or str
+    if isinstance(value, str):
+        try:
+            value = kind(value)
+        except ValueError:
+            raise ValueError(f"is not a valid {kind.__name__}: {value!r:.40}")
+    accepted, expected = {int: ((int,), "an integer"),
+                          float: ((int, float), "a number")}.get(kind, ((str,), "a string"))
+    if type(value) not in accepted:
+        raise TypeError(f"must be {expected}, got {value!r:.40}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"must be one of {', '.join(map(str, action.choices))}, "
+                         f"got {value!r:.40}")
+    return kind(value)
 
 
 def main(argv=None):

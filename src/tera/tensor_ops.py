@@ -179,17 +179,27 @@ def mode_n_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndar
     ``matrix`` has shape ``(J, I_mode)``; the output replaces mode size
     ``I_mode`` with ``J`` and leaves all other modes unchanged:
     ``out[..., j, ...] = sum_i tensor[..., i, ...] * matrix[j, i]``.
+
+    Computed as one ``np.matmul`` of ``matrix`` with the ``(before, I_mode,
+    after)`` view of the tensor, or as one GEMM when the mode is the last
+    one; the output is C-contiguous.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("mode-n product expects a 2-D matrix")
-    if matrix.shape[1] != tensor.shape[mode]:
+    shape = tensor.shape
+    if matrix.shape[1] != shape[mode]:
         raise ValueError(
             f"matrix has {matrix.shape[1]} columns but mode {mode} has size "
-            f"{tensor.shape[mode]}"
+            f"{shape[mode]}"
         )
-    out = np.tensordot(matrix, tensor, axes=(1, mode))
-    return np.moveaxis(out, 0, mode)
+    mode = range(len(shape))[mode]
+    before, after = math.prod(shape[:mode]), math.prod(shape[mode + 1 :])
+    if after == 1:
+        out = tensor.reshape(before, shape[mode]) @ matrix.T
+    else:
+        out = np.matmul(matrix, tensor.reshape(before, shape[mode], after))
+    return out.reshape(shape[:mode] + (matrix.shape[0],) + shape[mode + 1 :])
 
 
 def kron_chain(matrices) -> np.ndarray:

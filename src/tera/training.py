@@ -22,12 +22,15 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .adapters import (
     TeraAdapter,
     _checked,
+    _pull,
+    _reduce_by_d_vectors,
     clone_trainable,
     init_hira,
     init_lora,
@@ -243,15 +246,6 @@ def planted_recovery_task(
     )
 
 
-def recovery_loss(adapter, task: RecoveryTask) -> float:
-    diff = materialize_delta(adapter) - task.target
-    return 0.5 * float(np.sum(diff * diff))
-
-
-def recovery_gradients(adapter, task: RecoveryTask):
-    return delta_gradient(adapter, materialize_delta(adapter) - task.target)
-
-
 # ---------------------------------------------------------------------------
 # Reports
 
@@ -325,66 +319,125 @@ def _check_divergence(step, loss, initial_loss, partial_report_fn):
 # Adapter fitting
 
 
-def _fit_adapters(adapters, objective, cfg, config, metrics) -> TrainReport:
+def _rank(delta):
+    # a diverged fit's delta may be non-finite, which has no SVD
+    return numerical_rank(delta) if np.isfinite(delta).all() else None
+
+
+def _fit_adapters(adapters, objective, cfg, config, summary) -> TrainReport:
     """The loop of every adapter fit, in place over ``adapters`` (name ->
     adapter, named as in ``delta_ranks``).
 
     Steps 0..max_steps are evaluated with one optimizer step between two.
-    ``objective(deltas)`` returns the loss and, per name, its derivative by
-    that delta. A loss that is non-finite or above DIVERGENCE_FACTOR times
-    step 0's raises DivergenceError with the partial report. The report
-    ranks the last evaluated deltas and records ``config`` and
-    ``metrics(deltas)``.
+    ``objective(adapters)`` returns the loss at the current state, its
+    gradients for every trainable array (adapter by adapter, each in
+    ``trainable_arrays()`` order) and the deltas it formed on the way, by
+    name (empty when it formed none). A loss that is non-finite or above
+    DIVERGENCE_FACTOR times step 0's raises DivergenceError with the partial
+    report. The report ranks the last evaluated deltas, materialized once
+    here when the objective formed none (the rank of a non-finite delta is
+    None), and takes its final loss and metrics from
+    ``summary(deltas, loss)``.
     """
     t0 = time.perf_counter()
     opt = _Optimizer(cfg, [arr for a in adapters.values() for arr in a.trainable_arrays()])
     curve = []
 
     def report(loss, deltas):
+        deltas = deltas or {name: materialize_delta(a) for name, a in adapters.items()}
+        final_loss, metrics = summary(deltas, loss)
         return TrainReport(
             loss_curve=list(curve),
-            final_loss=loss,
+            final_loss=final_loss,
             wall_time_seconds=time.perf_counter() - t0,
             trainable_param_count=sum(trainable_param_count(a) for a in adapters.values()),
-            delta_ranks={name: numerical_rank(d) for name, d in deltas.items()},
+            delta_ranks={name: _rank(d) for name, d in deltas.items()},
             config=config,
-            metrics=metrics(deltas),
+            metrics=metrics,
         )
 
     for step in range(cfg.max_steps + 1):
-        deltas = {name: materialize_delta(a) for name, a in adapters.items()}
-        loss, upstream = objective(deltas)
+        loss, grads, deltas = objective(adapters)
         curve.append((step, loss))
         _check_divergence(step, loss, curve[0][1], lambda: report(loss, deltas))
         if step < cfg.max_steps:
-            opt.step([g for name, a in adapters.items()
-                      for g in delta_gradient(a, upstream[name])])
+            opt.step(grads)
     return report(loss, deltas)
+
+
+def _rank_space_recovery(network, target):
+    """Recovery's objective in the core's coordinates, for an adapter whose
+    delta is a frozen network scaled by d vectors (``adapter.network()``).
+
+    The Grams G_m = F_m F_m^T and the pulled target T~ = fold(T) x_m F_m are
+    formed once. A step forms S = C * (outer product of the d vectors) and
+    P = S x_m G_m - T~, the residual delta - T pulled through every factor:
+    the loss is (<S, P - T~> + ||T||^2) / 2, and the gradients are
+    ``tera_gradient``'s reduction of C * P. The delta is never formed; the
+    expanded loss carries about eps * ||T||^2 of absolute rounding.
+    """
+    core, factors, d_vectors = network
+    sizes = [r if f is None else f.shape[1] for r, f in zip(core.shape, factors)]
+    pulled = _pull(np.reshape(target, sizes), factors)
+    grams = [None if f is None else f @ f.T for f in factors]
+    target_sq = float(np.sum(target * target))
+
+    def objective(adapters):
+        s = core * reduce(np.multiply.outer, d_vectors)
+        p = _pull(s, grams) - pulled
+        loss = 0.5 * (float(np.vdot(s, p - pulled)) + target_sq)
+        return loss, _reduce_by_d_vectors(core * p, d_vectors), {}
+
+    return objective
+
+
+def _materialized_recovery(adapter, target):
+    """Recovery's objective for a family with no frozen network."""
+
+    def objective(adapters):
+        delta = materialize_delta(adapter)
+        diff = delta - target
+        return (0.5 * float(np.sum(diff * diff)), delta_gradient(adapter, diff),
+                {"adapter": delta})
+
+    return objective
+
+
+def _recovery_objective(adapter, target):
+    """``fit_recovery``'s objective: in rank space for a family with a frozen
+    network (``network()``), else on the materialized delta."""
+    network = _checked(adapter).network()
+    if network is None:
+        return _materialized_recovery(adapter, target)
+    return _rank_space_recovery(network, target)
 
 
 def fit_recovery(adapter, task: RecoveryTask, cfg: OptimizerConfig) -> TrainReport:
     """Minimize half the squared Frobenius distance to the target in place.
 
-    Works for every adapter family. Deterministic given the adapter state,
-    task, and config. Raises DivergenceError (with the partial report
-    attached) if the loss explodes or becomes non-finite.
+    Works for every adapter family. A family with a frozen network
+    (``network()``: tera, tera_iden, vera) trains in the core's coordinates
+    and materializes its delta once, for the report; the others materialize
+    it every step. The final loss and residuals come from that delta.
+    Deterministic given the adapter state, task, and config. Raises
+    DivergenceError (with the partial report attached) if the loss explodes
+    or becomes non-finite.
     """
     if adapter.shape != task.shape:
         raise ValueError(f"adapter shape {adapter.shape} != target {task.shape}")
     target_norm = float(np.linalg.norm(task.target))
 
-    def objective(deltas):
+    def summary(deltas, loss):
         diff = deltas["adapter"] - task.target
-        return 0.5 * float(np.sum(diff * diff)), {"adapter": diff}
-
-    def metrics(deltas):
-        residual = float(np.linalg.norm(deltas["adapter"] - task.target))
-        return {"final_residual": residual,
-                "final_relative_residual": residual / max(target_norm, 1e-30)}
+        residual = float(np.linalg.norm(diff))
+        return 0.5 * float(np.sum(diff * diff)), {
+            "final_residual": residual,
+            "final_relative_residual": residual / max(target_norm, 1e-30)}
 
     config = {"task": task.describe(), "optimizer": cfg.to_dict(),
               "family": adapter.variant, "shape": list(adapter.shape)}
-    return _fit_adapters({"adapter": adapter}, objective, cfg, config, metrics)
+    return _fit_adapters({"adapter": adapter}, _recovery_objective(adapter, task.target),
+                         cfg, config, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +487,9 @@ def als_approx_error(
     (rank-deficient subproblems fall back to a ridge solve and are kept only
     if they do not increase the objective). A sweep's objective is the last
     subproblem's residual ``||w - phi @ d||^2``, so sweeps never materialize
-    the delta. The adapter itself is never mutated; work happens on a clone.
+    the delta. The gradient polish that follows stops once the objective is
+    at most ``64 * eps**2 * ||target||^2`` (float64 ``eps``), the rounding
+    floor. The adapter itself is never mutated; work happens on a clone.
 
     Multiple starts matter: the zero-initialized state is a stationary point
     where every subproblem for the other modes degenerates, so ALS begins
@@ -493,10 +548,12 @@ def als_approx_error(
             best_d = [d.copy() for d in work.d_vectors]
             best_sweep_values = sweep_values
 
-    # Gradient polish from the best start; keep the best iterate seen.
+    # Gradient polish from the best start; keep the best iterate seen. It
+    # stops at the rounding floor, where no step can make a real gain.
     for d, s in zip(work.d_vectors, best_d):
         d[:] = s
-    if polish_steps > 0:
+    floor = 64 * np.finfo(float).eps ** 2 * float(np.sum(target * target))
+    if polish_steps > 0 and best_value > floor:
         polish_cfg = OptimizerConfig(
             algorithm="adamw",
             learning_rate=1e-2,
@@ -513,6 +570,8 @@ def als_approx_error(
             if value < best_value:
                 best_value = value
                 best_d = [d.copy() for d in work.d_vectors]
+            if best_value <= floor:
+                break
 
     return AlsResult(
         value=best_value,
@@ -773,13 +832,15 @@ def fit_mlp_adapt(
             weights[layer] = weights[layer] + deltas[f"layer{layer}"]
         return weights
 
-    def objective(deltas):
+    def objective(named):
+        deltas = {name: materialize_delta(a) for name, a in named.items()}
         loss, grads = _mlp_loss_and_grads(adapted(deltas), x, y, task.n_classes)
-        return loss, {f"layer{layer}": grads[layer] for layer in adapters}
+        return loss, [g for layer, a in adapters.items()
+                      for g in delta_gradient(a, grads[layer])], deltas
 
-    def metrics(deltas):
+    def summary(deltas, loss):
         weights = adapted(deltas)
-        return {
+        return loss, {
             "base_target_accuracy": base_accuracy,
             "target_test_accuracy": mlp_accuracy(weights, task.target_test, task.n_classes),
             "target_train_accuracy": mlp_accuracy(weights, task.target_train, task.n_classes),
@@ -789,7 +850,7 @@ def fit_mlp_adapt(
               "rank": rank, "scheme": None if scheme is None else scheme.to_dict(),
               "adapter_seed": adapter_seed}
     named = {f"layer{layer}": a for layer, a in adapters.items()}
-    return _fit_adapters(named, objective, cfg, config, metrics), adapters
+    return _fit_adapters(named, objective, cfg, config, summary), adapters
 
 
 def finetune_full(task: MlpAdaptTask, cfg: OptimizerConfig):

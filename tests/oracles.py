@@ -3,12 +3,17 @@
 Everything here is written as plain index loops over the element-wise
 definitions, deliberately avoiding the library's own vectorized paths, so a
 test that compares the two is comparing genuinely independent computations.
+The recovery objective's oracle is the materialized one: the delta formed in
+full, where ``fit_recovery`` works in the core's coordinates.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from tera.adapters import materialize_delta
+from tera.training import delta_gradient
 
 
 def unfold_by_enumeration(tensor, split):
@@ -85,6 +90,17 @@ def tera_design_by_loops(core, factors, d_vectors, split, mode):
         d[mode] = np.eye(core.shape[mode])[b]
         columns.append(tera_delta_by_loops(core, factors, d, split).ravel())
     return np.stack(columns, axis=1)
+
+
+def recovery_loss(adapter, task):
+    """Half the squared distance from the materialized delta to the target."""
+    diff = materialize_delta(adapter) - task.target
+    return 0.5 * float(np.sum(diff * diff))
+
+
+def recovery_gradients(adapter, task):
+    """Gradients of ``recovery_loss``: the residual as the delta's upstream."""
+    return delta_gradient(adapter, materialize_delta(adapter) - task.target)
 
 
 def integer_tensor(rng, shape, low=-9, high=10):

@@ -38,8 +38,6 @@ from tera import (
     make_mlp_adapt_task,
     materialize_delta,
     rank_report,
-    recovery_gradients,
-    recovery_loss,
     trainable_param_count,
     vera_full_rank_param_count,
     vera_rank_for_budget,
@@ -51,7 +49,7 @@ from tera.adapters import _tera_delta_kronecker, _tera_delta_mode_products
 from tera.cli import main as cli_main
 from tera.training import RecoveryTask, planted_recovery_task
 
-from oracles import tera_delta_by_loops
+from oracles import recovery_gradients, recovery_loss, tera_delta_by_loops
 
 
 def report(number, ok, detail):

@@ -156,6 +156,21 @@ class TestFit:
         assert (out / "loss.csv").exists()
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["lora", "tera"])
+    def test_non_finite_divergence_writes_partial_report(self, tmp_path, capsys, family):
+        # the last deltas are non-finite: their rank is recorded as null
+        out = tmp_path / "div"
+        with np.errstate(all="ignore"):
+            rc = main(["fit", "--family", family, "--shape", "16x16", "--lr", "1e308",
+                       "--optimizer", "sgd-momentum", "--warmup-steps", "0",
+                       "--out", str(out)])
+        assert rc == EXIT_DIVERGED
+        assert "diverged" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["delta_ranks"] == {"adapter": None}
+        assert (out / "loss.csv").exists()
+        assert not (out / "checkpoint.json").exists()
+
     def test_vera_budget_matching(self, tmp_path, capsys):
         out = tmp_path / "vera"
         rc = main(
@@ -225,6 +240,37 @@ class TestFit:
         assert "learning_rate" in err and "max_step" in err
         assert "family" not in err.split(":")[-1]
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"family": "lora", "max_steps": 2.5}, "max_steps"),
+        ({"family": "lora", "lr": [1]}, "lr"),
+        ({"family": "lora", "shape": 64}, "shape"),
+        ({"family": "lora", "max_steps": None}, "max_steps"),
+        ({"family": "lora", "lr": "fast"}, "lr"),
+        ({"family": "lorra"}, "family"),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, doc, key):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        rc = main(["fit", "--config", str(config), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+        assert not out.exists()
+
+    def test_config_values_take_their_flag_types(self, tmp_path, capsys):
+        # a string goes through the flag's type, as on the command line; an
+        # integer is a valid float
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(
+            {"family": "lora", "shape": "8x8", "lr": "0.05", "weight_decay": 0,
+             "max_steps": "3"}))
+        out = tmp_path / "run"
+        assert main(["fit", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["lr"] == 0.05 and resolved["max_steps"] == 3
+        assert type(resolved["weight_decay"]) is float
 
     def test_resolved_config_is_accepted_back(self, tmp_path, capsys):
         first = tmp_path / "first"

@@ -133,6 +133,17 @@ class TestModeProduct:
                     mode_n_product(t, b, mode), mode_product_by_loops(t, b, mode)
                 )
 
+    @pytest.mark.parametrize("mode", [0, 2, 3])  # first, a middle, the last
+    def test_non_contiguous_inputs_match_oracle(self, mode):
+        rng = np.random.default_rng(6)
+        # a transposed and strided view, and a transposed matrix
+        t = integer_tensor(rng, (4, 6, 3, 5)).transpose(3, 0, 2, 1)[::-1, :, :, ::2]
+        assert not t.flags.c_contiguous
+        b = integer_tensor(rng, (t.shape[mode], 2)).T
+        out = mode_n_product(t, b, mode)
+        assert out.flags.c_contiguous
+        assert_array_equal(out, mode_product_by_loops(t, b, mode))
+
     def test_unfolded_mode1_product_is_matrix_product(self):
         rng = np.random.default_rng(5)
         t = rng.standard_normal((3, 3, 3))

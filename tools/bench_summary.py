@@ -1,0 +1,96 @@
+"""Summarize paired benchmark runs of two checkouts into one JSON file.
+
+Each checkout runs ``perfbench/run.py`` with the same seeds, which leaves one
+``result_<workload>_seed<N>_trace<T>.json`` per run in its ``.bench_out/``.
+Given the two directories, this writes, per workload and metric, the median,
+the interquartile range and the count of each side, and for the end-to-end
+metrics the seeds both sides ran: how many of those pairs the change won
+and the ratio of the medians. The environment block of the runs is copied
+in as recorded. Usage, from the root of a checkout:
+
+    python3 tools/bench_summary.py PARENT/.bench_out CHANGE/.bench_out --out BENCH.json
+"""
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def load_runs(directory):
+    """``{(workload, trace): {seed: result}}`` from one ``.bench_out/``."""
+    runs = {}
+    for path in sorted(Path(directory).glob("result_*_seed*_trace*.json")):
+        doc = json.loads(path.read_text())
+        d = doc["details"]
+        runs.setdefault((d["workload"], d["trace"]), {})[d["seed"]] = doc
+    if not runs:
+        raise SystemExit(f"error: no result files in {directory}")
+    return runs
+
+
+def spread(values):
+    """Median, interquartile range and count."""
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = q3 = values[0]
+    return {"median": statistics.median(values), "iqr": q3 - q1, "n": len(values)}
+
+
+def summarize(parent, change, better):
+    """One workload and trace: every metric both sides report."""
+    names = sorted(set.intersection(*(set(doc["metrics"]) for side in (parent, change)
+                                      for doc in side.values())))
+    out = {"failed": {"parent": sum(d["failed"] for d in parent.values()),
+                      "change": sum(d["failed"] for d in change.values())},
+           "metrics": {}}
+    for name in names:
+        values = [{seed: d["metrics"][name]["value"] for seed, d in side.items()}
+                  for side in (parent, change)]
+        entry = {"unit": next(iter(parent.values()))["metrics"][name]["unit"],
+                 "parent": spread(list(values[0].values())),
+                 "change": spread(list(values[1].values()))}
+        if name in better:
+            sign = 1 if better[name] == "higher" else -1
+            seeds = sorted(set(parent) & set(change))
+            entry["better"] = better[name]
+            entry["pairs"] = len(seeds)
+            entry["change_wins"] = sum(
+                sign * (values[1][s] - values[0][s]) > 0 for s in seeds)
+            base = entry["parent"]["median"]
+            entry["median_ratio"] = entry["change"]["median"] / base if base else None
+        out["metrics"][name] = entry
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help=".bench_out/ of the parent checkout")
+    parser.add_argument("change", help=".bench_out/ of the changed checkout")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    parent, change = load_runs(args.parent), load_runs(args.change)
+    first = next(iter(next(iter(change.values())).values()))
+    doc = {
+        "command": "python3 perfbench/run.py --workload W --seed N "
+                   f"--seconds {first['details']['seconds']:g} --trace T",
+        "environment": first["details"]["environment"],
+        "workloads": {},
+    }
+    for key in sorted(set(parent) & set(change)):
+        workload, trace = key
+        doc["workloads"].setdefault(workload, {})[f"trace{trace}"] = summarize(
+            parent[key], change[key], better if trace == 0 else {})
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
