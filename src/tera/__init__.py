@@ -50,7 +50,6 @@ from .adapters import (
     load_checkpoint,
     lora_param_count,
     materialize_delta,
-    merge,
     save_checkpoint,
     synthetic_base_weight,
     trainable_param_count,
@@ -77,8 +76,6 @@ from .training import (
     mlp_accuracy,
     mlp_predict,
     planted_recovery_task,
-    prescribed_rank_recovery_task,
-    prescribed_spectrum_recovery_task,
     tera_gradient,
     write_csv,
     write_json,
@@ -125,7 +122,6 @@ __all__ = [
     "init_hira",
     "materialize_delta",
     "apply_delta",
-    "merge",
     "clone_trainable",
     "trainable_param_count",
     "lora_param_count",
@@ -144,8 +140,6 @@ __all__ = [
     "OptimizerConfig",
     "RecoveryTask",
     "gaussian_recovery_task",
-    "prescribed_rank_recovery_task",
-    "prescribed_spectrum_recovery_task",
     "planted_recovery_task",
     "TrainReport",
     "write_json",

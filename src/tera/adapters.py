@@ -5,16 +5,29 @@ scaled by trainable per-mode diagonal vectors) alongside the three baselines
 it is measured against: plain low-rank (LoRA), frozen-pair low-rank with
 trainable diagonals (VeRA), and Hadamard-masked low-rank (HiRA).
 
+The four families rest on two algebras:
+
+* A frozen network scaled by trainable d vectors (tera, tera_iden, vera).
+  ``network()`` returns ``(core, factors, d_vectors)``: the delta is the core
+  scaled on each mode by its d vector and mixed by the factor's transpose,
+  unfolded at ``split``. A None factor is the identity (tera_iden's every
+  mode, vera's rows) and costs a broadcast multiply. One base class computes
+  ``delta``, ``apply``, ``grads`` and the ALS ``design_matrix`` from that.
+* A trainable low-rank product A @ B (lora). HiRA is the same product under
+  the element-wise mask of the frozen base weight.
+
 All four families materialize a delta matrix that is exactly zero right after
 initialization, support matrix-vector application without materializing the
-delta where the structure allows it, merge additively into a base weight, and
-round-trip through JSON checkpoints that store only trainable state plus
-enough provenance to regenerate the frozen parts.
+delta where the structure allows it, and round-trip through JSON checkpoints
+that store only trainable state plus enough provenance to regenerate the
+frozen parts.
 
 Each family is one dataclass with the same methods (``delta``, ``apply``,
 ``grads``, ``max_rank``, ``clone``, ``to_doc``, ``from_doc``); the module-level
-functions check their arguments and delegate to them. ``ADAPTER_TYPES`` maps a
-checkpoint's ``adapter_type`` to its class.
+functions check their arguments and delegate to them. Only
+``materialize_delta`` takes a ``path``: "mode" for every family, "kron" (the
+tensor network's second materialization path) for tera alone.
+``ADAPTER_TYPES`` maps a checkpoint's ``adapter_type`` to its class.
 """
 
 from __future__ import annotations
@@ -24,10 +37,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .tensor_ops import TensorizationScheme, fold, kron_chain, mode_n_product, unfold
+from .tensor_ops import TensorizationScheme, kron_chain, mode_n_product, unfold
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -175,12 +189,142 @@ class FrozenFactorStore:
 
 
 # ---------------------------------------------------------------------------
-# The four families. ``delta(path)`` ignores ``path`` outside the tensor
-# network, which is the only family with two materialization paths.
+# The frozen-network algebra, read from ``network()``. A None factor is the
+# identity: a broadcast multiply, never a GEMM with an identity matrix.
+
+
+def _mode_sizes(core, factors):
+    """The delta's tensor mode sizes: each factor's width, or the core's
+    rank on an identity mode."""
+    return [r if f is None else f.shape[1] for r, f in zip(core.shape, factors)]
+
+
+def _scaled_core(core, d_vectors):
+    """The core times the outer product of the d vectors."""
+    return core * reduce(np.multiply.outer, d_vectors)
+
+
+def _scale_mode(t, factor, d, mode, adjoint=False):
+    """``t`` times mode ``mode``'s d-scaled factor ``factor.T * d`` or, with
+    ``adjoint``, its transpose ``d[:, None] * factor``."""
+    if factor is None:
+        return t * d.reshape((-1,) + (1,) * (t.ndim - mode - 1))
+    return mode_n_product(t, d[:, None] * factor if adjoint else factor.T * d, mode)
+
+
+def _scale_modes(t, factors, d_vectors):
+    """``t`` times every mode's d-scaled factor, the factored modes first:
+    an identity mode then scales the mixed result, as vera's b scales the
+    rows of B @ (d * A)."""
+    for m in sorted(range(len(factors)), key=lambda m: factors[m] is None):
+        t = _scale_mode(t, factors[m], d_vectors[m], m)
+    return t
+
+
+def _pull(tensor, matrices):
+    """``tensor`` times ``matrices[m]`` on every mode m (``mode_n_product``);
+    a None matrix is the identity and costs nothing."""
+    for m, matrix in enumerate(matrices):
+        if matrix is not None:
+            tensor = mode_n_product(tensor, matrix, m)
+    return tensor
+
+
+def _reduce_by_d_vectors(weighted, d_vectors):
+    """Per mode i, ``weighted`` summed against every other mode's d vector:
+    ``g_i[r] = sum of weighted[..., r, ...] * prod_{m != i} d_m[r_m]``.
+
+    Contracting the modes before i from the left leaves a ``(ranks[i],
+    rest)`` matrix, multiplied by the outer product of the d vectors after
+    i: O(order * core) in all. No division by d entries, so zero d vectors
+    are safe, and a zero slice of ``weighted`` gives an exactly zero entry.
+    """
+    suffixes = [np.ones(1)]  # suffixes[-1 - i]: outer product of d_{i+1..}
+    for d in reversed(d_vectors[1:]):
+        suffixes.append(np.multiply.outer(d, suffixes[-1]).ravel())
+    grads = []
+    prefix = weighted
+    for i, d in enumerate(d_vectors):
+        prefix = np.reshape(prefix, (d.size, -1))
+        grads.append(prefix @ suffixes[-1 - i])
+        prefix = d @ prefix
+    return grads
+
+
+class _ScaledNetwork:
+    """The families whose trainable vectors scale a frozen network (tera and
+    vera): everything here is read from ``network()`` and ``split``."""
+
+    def delta(self):
+        core, factors, d_vectors = self.network()
+        return _scale_modes(core, factors, d_vectors).reshape(self.shape)
+
+    def apply(self, x):
+        # Fold x over the column modes, scale and mix each down to its rank,
+        # absorb the core (never copied), then expand the row modes.
+        core, factors, d_vectors = self.network()
+        k, order = self.split, core.ndim
+        z = x.reshape(_mode_sizes(core, factors)[k:])
+        for j in range(order - k):
+            z = _scale_mode(z, factors[k + j], d_vectors[k + j], j, adjoint=True)
+        t = np.tensordot(core, z, axes=(tuple(range(k, order)), tuple(range(order - k))))
+        return _scale_modes(t, factors[:k], d_vectors[:k]).ravel()
+
+    def grads(self, upstream):
+        # Pull the upstream through every factor, weight it by the core and
+        # sum against the other modes' d vectors.
+        core, factors, d_vectors = self.network()
+        pulled = _pull(upstream.reshape(_mode_sizes(core, factors)), factors)
+        return _reduce_by_d_vectors(core * pulled, d_vectors)
+
+    def design_matrix(self, mode):
+        """``(rows*cols) x ranks[mode]`` matrix ``phi`` with
+        ``delta.ravel() == phi @ d_vectors[mode]``.
+
+        The delta is linear in one mode's d vector: contract every other mode
+        with its d-scaled factor, then spread the remaining rank index over
+        that mode's factor (an identity factor spreads rank b onto index b).
+        """
+        core, factors, d_vectors = self.network()
+        t = core
+        for m, (f, d) in enumerate(zip(factors, d_vectors)):
+            if m != mode:
+                t = _scale_mode(t, f, d, m)
+        f = factors[mode]
+        mix = np.eye(core.shape[mode]) if f is None else f.T  # (size, rank)
+        spread = [1] * core.ndim + [mix.shape[1]]
+        spread[mode] = mix.shape[0]
+        t = np.expand_dims(np.moveaxis(t, mode, -1), mode)
+        return (t * mix.reshape(spread)).reshape(-1, mix.shape[1])
+
+
+def _kron_sides(adapter):
+    """``(left, right)``, the Kronecker products of the row and the column
+    factors' transposes: delta == left @ unfold(scaled core) @ right.T. A
+    side of identity factors is None (the tensor network's factors are all
+    identities or none)."""
+    _, factors, _ = adapter.network()
+    k = adapter.split
+    return tuple(None if side[0] is None else kron_chain([f.T for f in side])
+                 for side in (factors[:k], factors[k:]))
+
+
+def _kron_delta(adapter):
+    """The tensor network's second materialization path: the Kronecker
+    sides sandwich the unfolded core scaled by the d vectors."""
+    core, _, d_vectors = adapter.network()
+    scaled = unfold(_scaled_core(core, d_vectors), adapter.split)
+    left, right = _kron_sides(adapter)
+    mixed = scaled if left is None else left @ scaled
+    return mixed if right is None else mixed @ right.T
+
+
+# ---------------------------------------------------------------------------
+# The four families.
 
 
 @dataclass(eq=False)
-class TeraAdapter:
+class TeraAdapter(_ScaledNetwork):
     """Frozen random tensor network scaled by trainable diagonal vectors.
 
     The delta is the split-point unfolding of the frozen core multiplied on
@@ -208,13 +352,12 @@ class TeraAdapter:
         return (self.scheme.rows, self.scheme.cols)
 
     @property
+    def split(self):
+        return self.scheme.split
+
+    @property
     def core(self):
         return self.entry.core
-
-    def factor(self, i):
-        if self.identity_factors:
-            return np.eye(self.scheme.ranks[i])
-        return self.entry.factors[i]
 
     def trainable_arrays(self):
         return list(self.d_vectors)
@@ -226,53 +369,6 @@ class TeraAdapter:
         if self.identity_factors:
             return self.core, (None,) * self.scheme.order, self.d_vectors
         return self.core, self.entry.factors, self.d_vectors
-
-    def delta(self, path="mode"):
-        if path == "mode":
-            return _tera_delta_mode_products(self)
-        if path == "kron":
-            return _tera_delta_kronecker(self)
-        raise ValueError(f"unknown materialization path {path!r}")
-
-    def apply(self, x):
-        # Fold x over the column modes, contract each with diag(d) @ factor,
-        # absorb the core, then expand the row modes.
-        k, order = self.scheme.split, self.scheme.order
-        z = x.reshape(self.scheme.mode_sizes[k:])
-        if z.ndim == 0:
-            z = z.reshape(1)
-        for j in range(order - k):
-            s = self.d_vectors[k + j][:, None] * self.factor(k + j)
-            z = mode_n_product(z, s, j)
-        t = np.tensordot(
-            self.core, z, axes=(tuple(range(k, order)), tuple(range(order - k)))
-        )
-        for i in range(k):
-            t = mode_n_product(t, self.factor(i).T * self.d_vectors[i], i)
-        return t.ravel()
-
-    def grads(self, upstream):
-        return tera_gradient(self, upstream)
-
-    def design_matrix(self, mode):
-        """``(rows*cols) x ranks[mode]`` matrix ``phi`` with
-        ``unfold(delta).ravel() == phi @ d_vectors[mode]``.
-
-        The delta is linear in one mode's d vector: contract every other mode
-        with diag(d) @ factor, then spread the remaining rank index over that
-        mode's factor.
-        """
-        order = self.scheme.order
-        t = self.core
-        for m in range(order):
-            if m != mode:
-                t = mode_n_product(t, self.factor(m).T * self.d_vectors[m], m)
-        # out[i_1..i_N, b] = t[i_1..b..i_N] * factor(mode)[b, i_mode]
-        spread = [1] * (order + 1)
-        spread[mode] = self.scheme.mode_sizes[mode]
-        spread[-1] = self.scheme.ranks[mode]
-        t = np.expand_dims(np.moveaxis(t, mode, -1), mode)
-        return (t * self.factor(mode).T.reshape(spread)).reshape(-1, spread[-1])
 
     def max_rank(self):
         s = self.scheme
@@ -327,7 +423,7 @@ class LoraAdapter:
     def network(self):
         return None  # both factors train: no frozen network
 
-    def delta(self, path="mode"):
+    def delta(self):
         return self.a @ self.b
 
     def apply(self, x):
@@ -354,7 +450,7 @@ class LoraAdapter:
 
 
 @dataclass(eq=False)
-class VeraAdapter:
+class VeraAdapter(_ScaledNetwork):
     """Frozen low-rank pair scaled by trainable diagonals on both sides."""
 
     b_frozen: np.ndarray  # (j1, rank)
@@ -366,6 +462,7 @@ class VeraAdapter:
     d_init: float = 0.1
 
     family = variant = "vera"
+    split = 1
 
     @property
     def shape(self):
@@ -378,18 +475,6 @@ class VeraAdapter:
         # A two-mode network: core B, the identity on the rows and A on the
         # columns, scaled by b and d (TeraAdapter.network's form).
         return self.b_frozen, (None, self.a_frozen), [self.b, self.d]
-
-    def delta(self, path="mode"):
-        return self.b[:, None] * (self.b_frozen @ (self.d[:, None] * self.a_frozen))
-
-    def apply(self, x):
-        return self.b * (self.b_frozen @ (self.d * (self.a_frozen @ x)))
-
-    def grads(self, upstream):
-        mixed = self.b_frozen @ (self.d[:, None] * self.a_frozen)
-        grad_b = (upstream * mixed).sum(axis=1)
-        grad_d = ((self.b_frozen.T * self.b) @ upstream * self.a_frozen).sum(axis=1)
-        return [grad_b, grad_d]
 
     def max_rank(self):
         return min(self.rank, *self.shape)
@@ -416,55 +501,36 @@ class VeraAdapter:
 
 
 @dataclass(eq=False)
-class HiraAdapter:
-    """Low-rank product masked element-wise by the frozen base weight.
+class HiraAdapter(LoraAdapter):
+    """The low-rank product masked element-wise by the frozen base weight.
 
     The Hadamard factor w0 lets the delta reach ranks far above the product's
     own rank. w0 is never trained and never serialized by value; checkpoints
     record a checksum plus provenance sufficient to regenerate or re-verify it.
     """
 
-    a: np.ndarray  # (j1, rank)
-    b: np.ndarray  # (rank, j2), zero at init
     w0: np.ndarray  # (j1, j2), frozen
-    rank: int
     w0_provenance: dict | None = None
 
     family = variant = "hira"
 
-    @property
-    def shape(self):
-        return self.w0.shape
-
-    def trainable_arrays(self):
-        return [self.a, self.b]
-
-    def network(self):
-        return None  # both factors train under the mask: no frozen network
-
-    def delta(self, path="mode"):
+    def delta(self):
         return (self.a @ self.b) * self.w0
 
     def apply(self, x):
         # The Hadamard mask offers no factored route, so this materializes.
-        return materialize_delta(self) @ x
+        return self.delta() @ x
 
     def grads(self, upstream):
-        masked = upstream * self.w0
-        return [masked @ self.b.T, self.a.T @ masked]
+        return super().grads(upstream * self.w0)
 
     def max_rank(self):
         return min(self.shape)  # the element-wise product can reach full rank
 
-    def clone(self):
-        return dataclasses.replace(self, a=self.a.copy(), b=self.b.copy())
-
     def to_doc(self):
         w0 = dict(shape=list(self.w0.shape), checksum=_checksum(self.w0))
-        return dict(
-            adapter_type="hira", rank=self.rank, a=self.a.tolist(), b=self.b.tolist(),
-            w0=dict(w0, provenance=self.w0_provenance),
-        )
+        return dict(super().to_doc(), adapter_type="hira",
+                    w0=dict(w0, provenance=self.w0_provenance))
 
     @classmethod
     def from_doc(cls, doc, store=None, base_weight=None):
@@ -487,7 +553,7 @@ class HiraAdapter:
             raise CheckpointError(f"base weight shape {w0.shape} != {(j1, j2)}")
         if _checksum(w0) != checksum:
             raise CheckpointError("base weight does not match recorded checksum")
-        return cls(a, b, w0, rank, provenance)
+        return cls(a, b, rank, w0, provenance)
 
 
 # A new family is one class with the methods above plus its entry here.
@@ -578,113 +644,45 @@ def init_hira(j1, j2, rank, w0=None, seed=0, w0_seed=None):
     )
 
 
-def _tera_delta_mode_products(a: TeraAdapter):
-    # Mode i is transformed by T(out, r) = d(r) * factor(r, out): scale the
-    # rank index, then mix it down to the original mode size.
-    t = a.core
-    for i in range(a.scheme.order):
-        t = mode_n_product(t, a.factor(i).T * a.d_vectors[i], i)
-    return unfold(t, a.scheme.split)
-
-
-def _tera_kron_sides(a: TeraAdapter):
-    """``(left, right)``, rows x rank_rows and cols x rank_cols, with
-    delta == left @ unfold(core scaled by the d vectors) @ right.T."""
-    k = a.scheme.split
-    left = kron_chain([a.factor(i).T for i in range(k)])
-    right = kron_chain([a.factor(i).T for i in range(k, a.scheme.order)])
-    return left, right
-
-
-def _tera_delta_kronecker(a: TeraAdapter):
-    core_scaled = a.core
-    for i, d in enumerate(a.d_vectors):
-        shape = [1] * a.scheme.order
-        shape[i] = -1
-        core_scaled = core_scaled * d.reshape(shape)
-    left, right = _tera_kron_sides(a)
-    return left @ unfold(core_scaled, a.scheme.split) @ right.T
-
-
-def _pull(tensor, matrices):
-    """``tensor`` times ``matrices[m]`` on every mode m (``mode_n_product``);
-    a None matrix is the identity and costs nothing."""
-    for m, matrix in enumerate(matrices):
-        if matrix is not None:
-            tensor = mode_n_product(tensor, matrix, m)
-    return tensor
-
-
-def _reduce_by_d_vectors(weighted, d_vectors):
-    """Per mode i, ``weighted`` summed against every other mode's d vector:
-    ``g_i[r] = sum of weighted[..., r, ...] * prod_{m != i} d_m[r_m]``.
-
-    Contracting the modes before i from the left leaves a ``(ranks[i],
-    rest)`` matrix, multiplied by the outer product of the d vectors after
-    i: O(order * core) in all. No division by d entries, so zero d vectors
-    are safe, and a zero slice of ``weighted`` gives an exactly zero entry.
-    """
-    suffixes = [np.ones(1)]  # suffixes[-1 - i]: outer product of d_{i+1..}
-    for d in reversed(d_vectors[1:]):
-        suffixes.append(np.multiply.outer(d, suffixes[-1]).ravel())
-    grads = []
-    prefix = weighted
-    for i, d in enumerate(d_vectors):
-        prefix = np.reshape(prefix, (d.size, -1))
-        grads.append(prefix @ suffixes[-1 - i])
-        prefix = d @ prefix
-    return grads
-
-
 def tera_gradient(adapter: TeraAdapter, upstream: np.ndarray):
-    """Gradients of <upstream, delta> with respect to each d vector.
-
-    Fold the upstream matrix, pull it through every frozen factor, multiply
-    by the core, and for mode i sum against every other mode's d vector
-    (``_reduce_by_d_vectors``).
-    """
+    """Gradients of <upstream, delta> with respect to each d vector of a
+    frozen-network adapter (its ``grads``), once the shapes agree."""
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != adapter.shape:
         raise ValueError(
             f"upstream gradient shape {upstream.shape} != delta shape {adapter.shape}"
         )
-    core, factors, d_vectors = adapter.network()
-    pulled = _pull(fold(upstream, adapter.scheme), factors)
-    return _reduce_by_d_vectors(core * pulled, d_vectors)
+    return adapter.grads(upstream)
 
 
 def materialize_delta(adapter, path="mode"):
     """Dense delta matrix of any adapter.
 
-    For the tensor-network family two independent computation paths exist:
-    "mode" applies per-mode products to the core, "kron" forms the two
-    Kronecker-factor matrices and sandwiches the rescaled, unfolded core.
-    They must agree to 1e-10 relative; tests enforce this.
+    ``path`` picks the computation: "mode", for every family, is the
+    family's ``delta()``; "kron", for the tensor network only, forms the two
+    Kronecker-factor matrices and sandwiches the scaled, unfolded core. The
+    two must agree to 1e-10 relative; tests enforce this.
     """
-    return _checked(adapter).delta(path)
+    family = _checked(adapter).family
+    if path == "mode":
+        return adapter.delta()
+    if path == "kron" and family == "tera":
+        return _kron_delta(adapter)
+    raise ValueError(f"no materialization path {path!r} for a {family} adapter")
 
 
 def apply_delta(adapter, x):
     """Delta-times-vector without forming the full delta where possible.
 
-    The tensor-network path folds x over the column modes, contracts each of
-    them with diag(d) @ factor, absorbs the core, and expands the row modes.
-    The Hadamard family offers no factored route, so it materializes.
+    The frozen-network families fold x over the column modes, scale and mix
+    each of them, absorb the core, and expand the row modes. The Hadamard
+    family offers no factored route, so it materializes.
     """
     x = np.asarray(x, dtype=float)
     j1, j2 = _checked(adapter).shape
     if x.shape != (j2,):
         raise ValueError(f"expected a length-{j2} vector, got shape {x.shape}")
     return adapter.apply(x)
-
-
-def merge(adapter, w0):
-    """Final weight w0 + delta. The Hadamard family's delta already carries
-    its own base-weight mask, so merging stays a plain addition."""
-    w0 = np.asarray(w0, dtype=float)
-    if w0.shape != adapter.shape:
-        raise ValueError(f"base weight shape {w0.shape} != adapter {adapter.shape}")
-    return w0 + materialize_delta(adapter)
 
 
 def trainable_param_count(adapter) -> int:

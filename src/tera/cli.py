@@ -41,8 +41,8 @@ from .adapters import (
 from .analysis import (
     RANK_COLUMNS,
     InstanceRejected,
+    _verify_expressivity_escalated,
     rank_report,
-    verify_expressivity_bound,
     verify_param_bound,
     verify_rank_bound,
 )
@@ -476,7 +476,7 @@ def _verify_expressivity(args, out):
         else:
             w_star = rng.standard_normal((j1, j2))
         try:
-            report = verify_expressivity_bound(
+            report = _verify_expressivity_escalated(
                 w_star, adapter, sweeps=args.sweeps, seed=master_seed
             )
         except InstanceRejected:

@@ -22,15 +22,16 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .adapters import (
     TeraAdapter,
     _checked,
+    _mode_sizes,
     _pull,
     _reduce_by_d_vectors,
+    _scaled_core,
     clone_trainable,
     init_hira,
     init_lora,
@@ -200,26 +201,6 @@ def gaussian_recovery_task(j1, j2, seed) -> RecoveryTask:
     return RecoveryTask(target=rng.standard_normal((j1, j2)), kind="gaussian", seed=seed)
 
 
-def prescribed_rank_recovery_task(j1, j2, rank, seed) -> RecoveryTask:
-    rng = np.random.default_rng(seed)
-    target = rng.standard_normal((j1, rank)) @ rng.standard_normal((rank, j2))
-    return RecoveryTask(target=target, kind="rank", seed=seed, detail={"rank": rank})
-
-
-def prescribed_spectrum_recovery_task(j1, j2, spectrum, seed) -> RecoveryTask:
-    """Target with the given singular values and random orthogonal factors."""
-    spectrum = np.asarray(spectrum, dtype=float)
-    if spectrum.size > min(j1, j2):
-        raise ValueError("spectrum longer than min(j1, j2)")
-    rng = np.random.default_rng(seed)
-    q1, _ = np.linalg.qr(rng.standard_normal((j1, spectrum.size)))
-    q2, _ = np.linalg.qr(rng.standard_normal((j2, spectrum.size)))
-    target = (q1 * spectrum) @ q2.T
-    return RecoveryTask(
-        target=target, kind="spectrum", seed=seed, detail={"spectrum": spectrum.tolist()}
-    )
-
-
 def planted_recovery_task(
     scheme: TensorizationScheme, store, seed, identity_factors=False
 ) -> RecoveryTask:
@@ -377,13 +358,12 @@ def _rank_space_recovery(network, target):
     expanded loss carries about eps * ||T||^2 of absolute rounding.
     """
     core, factors, d_vectors = network
-    sizes = [r if f is None else f.shape[1] for r, f in zip(core.shape, factors)]
-    pulled = _pull(np.reshape(target, sizes), factors)
+    pulled = _pull(np.reshape(target, _mode_sizes(core, factors)), factors)
     grams = [None if f is None else f @ f.T for f in factors]
     target_sq = float(np.sum(target * target))
 
     def objective(adapters):
-        s = core * reduce(np.multiply.outer, d_vectors)
+        s = _scaled_core(core, d_vectors)
         p = _pull(s, grams) - pulled
         loss = 0.5 * (float(np.vdot(s, p - pulled)) + target_sq)
         return loss, _reduce_by_d_vectors(core * p, d_vectors), {}

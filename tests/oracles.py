@@ -77,6 +77,18 @@ def tera_delta_by_loops(core, factors, d_vectors, split):
     return out
 
 
+def explicit_factors(adapter):
+    """The adapter's network factors with every identity (None) spelled out
+    as ``np.eye``, for the oracles that index factor entries."""
+    core, factors, _ = adapter.network()
+    return [np.eye(r) if f is None else f for r, f in zip(core.shape, factors)]
+
+
+def vera_delta(adapter):
+    """VeRA's closed form ``diag(b) @ B @ diag(d) @ A``."""
+    return np.diag(adapter.b) @ adapter.b_frozen @ np.diag(adapter.d) @ adapter.a_frozen
+
+
 def tera_design_by_loops(core, factors, d_vectors, split, mode):
     """Least-squares design matrix of one mode, one delta per column.
 

@@ -45,7 +45,6 @@ from tera import (
     verify_param_bound,
     verify_rank_bound,
 )
-from tera.adapters import _tera_delta_kronecker, _tera_delta_mode_products
 from tera.cli import main as cli_main
 from tera.training import RecoveryTask, planted_recovery_task
 
@@ -260,13 +259,10 @@ def test_criterion_06_materialization_oracle():
             rng = np.random.default_rng(800 + i)
             for d in adapter.d_vectors:
                 d[:] = rng.standard_normal(d.shape)
-            by_modes = _tera_delta_mode_products(adapter)
-            by_kron = _tera_delta_kronecker(adapter)
+            by_modes = materialize_delta(adapter, path="mode")
+            by_kron = materialize_delta(adapter, path="kron")
             by_loops = tera_delta_by_loops(
-                adapter.core,
-                [adapter.factor(m) for m in range(scheme.order)],
-                adapter.d_vectors,
-                scheme.split,
+                adapter.core, adapter.entry.factors, adapter.d_vectors, scheme.split
             )
             scale = max(np.linalg.norm(by_loops), 1e-30)
             worst = max(

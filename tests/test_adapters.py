@@ -15,7 +15,6 @@ from tera.adapters import (
     load_checkpoint,
     lora_param_count,
     materialize_delta,
-    merge,
     save_checkpoint,
     synthetic_base_weight,
     trainable_param_count,
@@ -27,7 +26,7 @@ from tera.tensor_ops import TensorizationScheme, unfold
 
 import checkpoint_docs
 from checkpoint_docs import FAMILIES, MALFORMED, malformed_doc, valid_doc, write
-from oracles import tera_delta_by_loops, tera_design_by_loops
+from oracles import explicit_factors, tera_delta_by_loops, tera_design_by_loops
 
 SMALL = TensorizationScheme((2, 2, 2, 2), split=2)
 
@@ -83,7 +82,8 @@ class TestStore:
         plain = init_tera(4, 4, SMALL, store)
         iden = init_tera(4, 4, SMALL, store, identity_factors=True)
         assert iden.entry is plain.entry
-        assert_array_equal(iden.factor(0), np.eye(2))
+        core, factors, _ = iden.network()
+        assert core is plain.core and factors == (None,) * SMALL.order
 
     def test_vera_pair_shapes_and_determinism(self):
         b1, a1 = FrozenFactorStore(9).vera_pair(6, 5, 3)
@@ -164,9 +164,7 @@ class TestInit:
 class TestMaterialize:
     def test_matches_element_wise_oracle(self):
         a = small_adapter(d_seed=0)
-        expected = tera_delta_by_loops(
-            a.core, [a.factor(i) for i in range(4)], a.d_vectors, SMALL.split
-        )
+        expected = tera_delta_by_loops(a.core, a.entry.factors, a.d_vectors, SMALL.split)
         assert_allclose(materialize_delta(a), expected, atol=1e-12)
 
     def test_mode_and_kronecker_paths_agree(self):
@@ -212,6 +210,26 @@ class TestMaterialize:
         with pytest.raises(ValueError):
             materialize_delta(small_adapter(), path="magic")
 
+    @pytest.mark.parametrize("family", ["tera", "tera_iden", "lora", "vera", "hira"])
+    def test_path_is_mode_or_kron_for_the_tensor_network_only(self, family):
+        store = FrozenFactorStore(12)
+        a = {
+            "tera": lambda: small_adapter(d_seed=1),
+            "tera_iden": lambda: small_adapter(d_seed=1, identity_factors=True),
+            "lora": lambda: init_lora(4, 5, 2, seed=1),
+            "vera": lambda: init_vera(4, 5, 3, store),
+            "hira": lambda: init_hira(4, 5, 2, w0_seed=1),
+        }[family]()
+        mode = materialize_delta(a, path="mode")
+        assert_array_equal(mode, materialize_delta(a))
+        if a.family == "tera":
+            assert_allclose(materialize_delta(a, path="kron"), mode, atol=1e-12)
+        else:
+            with pytest.raises(ValueError, match="kron"):
+                materialize_delta(a, path="kron")
+        with pytest.raises(ValueError, match="bogus"):
+            materialize_delta(a, path="bogus")
+
     def test_not_an_adapter_rejected(self):
         with pytest.raises(TypeError):
             materialize_delta(np.zeros((2, 2)))
@@ -246,7 +264,7 @@ class TestDesignMatrix:
         rng = np.random.default_rng(50 + case)
         for d in a.d_vectors:
             d[:] = rng.standard_normal(d.shape)
-        factors = [a.factor(m) for m in range(scheme.order)]
+        factors = explicit_factors(a)
         delta = materialize_delta(a).ravel()
         for mode in range(scheme.order):
             phi = a.design_matrix(mode)
@@ -303,6 +321,15 @@ class TestApplyDelta:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             apply_delta(small_adapter(), np.ones(5))
+
+
+def merge(adapter, w0):
+    """Final weight w0 + delta: merging is a plain addition for every
+    family, the Hadamard one included (its delta carries its own mask)."""
+    w0 = np.asarray(w0, dtype=float)
+    if w0.shape != adapter.shape:
+        raise ValueError(f"base weight shape {w0.shape} != adapter {adapter.shape}")
+    return w0 + materialize_delta(adapter)
 
 
 class TestMerge:

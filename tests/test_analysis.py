@@ -17,6 +17,7 @@ from tera.analysis import (
     RANK_COLUMNS,
     BoundReport,
     InstanceRejected,
+    _verify_expressivity_escalated,
     multiplicative_partitions,
     numerical_rank,
     rank_report,
@@ -166,6 +167,33 @@ class TestExpressivityBound:
         assert report.lhs <= 1e-8
         assert report.terms["subspace_residual"] < 1e-16
 
+    def test_escalation_matches_the_acceptance_ladder(self):
+        # The CLI's sixth planted instance at its default seed stalls in an
+        # ALS swamp at 3 and at 6 extra starts. Acceptance criterion 4's
+        # ladder (6, 12, then 24 starts with 150 sweeps and 800 polish steps
+        # at seed + 1) is the oracle: the escalated verifier stops at the
+        # same rung, with the same lhs.
+        rng = np.random.default_rng(0)
+        for _ in range(6):
+            master_seed = int(rng.integers(2**31))
+            store = FrozenFactorStore(master_seed)
+            target = planted_recovery_task(EIGHT, store, seed=int(rng.integers(2**31))).target
+        adapter = init_tera(8, 8, EIGHT, store)
+        assert verify_expressivity_bound(target, adapter, seed=master_seed).verdict != "holds"
+        want = verify_expressivity_bound(target, adapter, extra_starts=6, seed=master_seed)
+        assert want.lhs > 1e-8
+        want = verify_expressivity_bound(target, adapter, extra_starts=12, seed=master_seed)
+        got = _verify_expressivity_escalated(target, adapter, seed=master_seed)
+        assert got.verdict == "holds" and got.lhs == want.lhs <= 1e-8
+        assert got.terms["als_extra_starts"] == 12
+
+    def test_identity_factors_project_onto_everything(self):
+        adapter = init_tera(8, 8, EIGHT, FrozenFactorStore(3), identity_factors=True)
+        w_star = np.random.default_rng(7).standard_normal((8, 8))
+        report = verify_expressivity_bound(w_star, adapter, seed=0, sweeps=2)
+        assert report.terms["subspace_residual"] <= 1e-24
+        assert_allclose([report.terms["left_frob_sq"], report.terms["right_frob_sq"]], 8.0)
+
     def test_random_targets_never_violated(self):
         rng = np.random.default_rng(4)
         for trial in range(5):
@@ -182,7 +210,7 @@ class TestExpressivityBound:
         w_star = rng.standard_normal((8, 8))
         report = verify_expressivity_bound(w_star, adapter, seed=0, sweeps=2)
 
-        factors = [adapter.factor(i) for i in range(4)]
+        factors = adapter.entry.factors
         left = kron_chain([f.T for f in factors[:2]])
         right = kron_chain([f.T for f in factors[2:]])
         p_l = left @ pseudoinverse(left)
@@ -195,7 +223,7 @@ class TestExpressivityBound:
         # orthogonal complement is killed by the projector entirely.
         scheme = TensorizationScheme((2, 4, 2, 4), split=2, ranks=(2, 2, 2, 2))
         adapter = init_tera(8, 8, scheme, FrozenFactorStore(21))
-        factors = [adapter.factor(i) for i in range(4)]
+        factors = adapter.entry.factors
         left = kron_chain([f.T for f in factors[:2]])  # 8 x 4
         q, _ = np.linalg.qr(left)
         rng = np.random.default_rng(6)

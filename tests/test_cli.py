@@ -450,6 +450,17 @@ class TestVerify:
         assert csv[0] == "instance,verdict,lhs,rhs,slack"
         assert len(csv) == 6
 
+    def test_expressivity_planted_escalates_past_a_swamp(self, tmp_path, capsys):
+        # Instance 5 stalls at 3 and 6 extra ALS starts and holds at 12.
+        out = tmp_path / "v"
+        rc = main(["verify", "--bound", "expressivity", "--instances", "6",
+                   "--planted", "--out", str(out)])
+        assert rc == EXIT_OK
+        doc = json.loads((out / "expressivity_bound.json").read_text())
+        assert doc["holds"] == 6
+        starts = [r["terms"]["als_extra_starts"] for r in doc["reports"]]
+        assert starts == [3, 3, 3, 3, 3, 12]
+
     def test_expressivity_csv_deterministic(self, tmp_path, capsys):
         outs = []
         for name in ["v1", "v2"]:

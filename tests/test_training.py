@@ -14,7 +14,7 @@ from tera.adapters import (
     synthetic_base_weight,
 )
 from tera import training
-from tera.tensor_ops import TensorizationScheme, numerical_rank
+from tera.tensor_ops import TensorizationScheme
 from tera.training import (
     LOSS_COLUMNS,
     AlsResult,
@@ -31,8 +31,6 @@ from tera.training import (
     make_mlp_adapt_task,
     mlp_accuracy,
     planted_recovery_task,
-    prescribed_rank_recovery_task,
-    prescribed_spectrum_recovery_task,
     tera_gradient,
     write_csv,
     write_json,
@@ -261,17 +259,6 @@ class TestRecoveryTasks:
         t1 = gaussian_recovery_task(5, 6, seed=3)
         t2 = gaussian_recovery_task(5, 6, seed=3)
         assert_array_equal(t1.target, t2.target)
-
-    def test_prescribed_rank(self):
-        t = prescribed_rank_recovery_task(10, 12, 3, seed=0)
-        assert numerical_rank(t.target) == 3
-
-    def test_prescribed_spectrum(self):
-        spectrum = [5.0, 2.0, 1.0]
-        t = prescribed_spectrum_recovery_task(8, 8, spectrum, seed=0)
-        s = np.linalg.svd(t.target, compute_uv=False)
-        assert_allclose(s[:3], spectrum, atol=1e-10)
-        assert np.all(s[3:] < 1e-12)
 
     def test_planted_target_is_realizable(self):
         store = FrozenFactorStore(5)
