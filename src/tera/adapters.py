@@ -251,6 +251,34 @@ def _reduce_by_d_vectors(weighted, d_vectors):
     return grads
 
 
+def _design_matrices(core, factors, d_stacks, mode):
+    """``(members, rows*cols, ranks[mode])`` stack of ALS design matrices,
+    one per member of the stacked d vectors ``d_stacks[m]`` (shape
+    ``(members, ranks[m])``): ``phi[s] @ d_stacks[mode][s]`` is member s's
+    flattened delta.
+
+    The delta is linear in one mode's d vector: scale the core by the outer
+    product of every other mode's d vectors, mix those modes by their
+    factors (one mode product each, shared by all members), then spread the
+    remaining rank index over that mode's factor (an identity factor
+    spreads rank b onto index b).
+    """
+    members, order = len(d_stacks[0]), core.ndim
+    t = core
+    for m, d in enumerate(d_stacks):
+        if m != mode:
+            t = t * d.reshape((members,) + (1,) * m + (-1,) + (1,) * (order - m - 1))
+    for m, f in enumerate(factors):
+        if m != mode and f is not None:
+            t = mode_n_product(t, f.T, m + 1)
+    f = factors[mode]
+    mix = np.eye(core.shape[mode]) if f is None else f.T  # (size, rank)
+    spread = [1] * (order + 1) + [mix.shape[1]]
+    spread[mode + 1] = mix.shape[0]
+    t = np.expand_dims(np.moveaxis(t, mode + 1, -1), mode + 1)
+    return (t * mix.reshape(spread)).reshape(members, -1, mix.shape[1])
+
+
 class _ScaledNetwork:
     """The families whose trainable vectors scale a frozen network (tera and
     vera): everything here is read from ``network()`` and ``split``."""
@@ -279,23 +307,10 @@ class _ScaledNetwork:
 
     def design_matrix(self, mode):
         """``(rows*cols) x ranks[mode]`` matrix ``phi`` with
-        ``delta.ravel() == phi @ d_vectors[mode]``.
-
-        The delta is linear in one mode's d vector: contract every other mode
-        with its d-scaled factor, then spread the remaining rank index over
-        that mode's factor (an identity factor spreads rank b onto index b).
-        """
+        ``delta.ravel() == phi @ d_vectors[mode]``: the one-member case of
+        ``_design_matrices``."""
         core, factors, d_vectors = self.network()
-        t = core
-        for m, (f, d) in enumerate(zip(factors, d_vectors)):
-            if m != mode:
-                t = _scale_mode(t, f, d, m)
-        f = factors[mode]
-        mix = np.eye(core.shape[mode]) if f is None else f.T  # (size, rank)
-        spread = [1] * core.ndim + [mix.shape[1]]
-        spread[mode] = mix.shape[0]
-        t = np.expand_dims(np.moveaxis(t, mode, -1), mode)
-        return (t * mix.reshape(spread)).reshape(-1, mix.shape[1])
+        return _design_matrices(core, factors, [d[None] for d in d_vectors], mode)[0]
 
 
 def _kron_sides(adapter):

@@ -242,6 +242,9 @@ def verify_expressivity_bound(
     Two terms say why a verdict is inconclusive: ``spectral_norm_converged``
     (did the power method stabilize) and ``als_last_sweep_rel_change`` (the
     relative objective drop over ALS's last sweep: still moving, or stalled).
+    ``inconclusive_cause`` names it: ``none`` for a verdict that holds,
+    ``spectral_not_converged`` when the power method did not stabilize, and
+    ``als_stalled`` otherwise. A non-finite target raises ``ValueError``.
     """
     if not isinstance(adapter, TeraAdapter):
         raise TypeError("expressivity bound applies to the tensor-network family")
@@ -249,6 +252,8 @@ def verify_expressivity_bound(
     scheme = adapter.scheme
     if w_star.shape != adapter.shape:
         raise ValueError(f"target shape {w_star.shape} != adapter shape {adapter.shape}")
+    if not np.isfinite(w_star).all():
+        raise ValueError("target w_star holds non-finite values")
     core = adapter.core
     min_core = float(np.min(np.abs(core)))
     if min_core < MIN_CORE_MAGNITUDE:
@@ -290,6 +295,12 @@ def verify_expressivity_bound(
     lhs = als.value
     tolerance = 1e-8 * max(1.0, frobenius_norm(w_star) ** 2)
     verdict = "holds" if lhs <= rhs + tolerance else "inconclusive"
+    if verdict == "holds":
+        cause = "none"
+    elif not estimate.converged:
+        cause = "spectral_not_converged"
+    else:
+        cause = "als_stalled"
     return BoundReport(
         bound_id=EXPRESSIVITY_BOUND,
         instance={
@@ -314,6 +325,7 @@ def verify_expressivity_bound(
             "als_extra_starts": extra_starts,
             "als_ridge_fallbacks": als.ridge_fallbacks,
             "als_last_sweep_rel_change": als.last_sweep_rel_change,
+            "inconclusive_cause": cause,
         },
         verdict=verdict,
         slack=rhs - lhs,

@@ -268,57 +268,63 @@ def tensor_spectral_norm(
     consumes it. ``converged`` is False when no restart stabilized within
     ``max_iters`` sweeps; the best iterate is still returned.
 
+    The restarts run in lockstep: each mode's vectors are one ``(restarts,
+    size)`` array and each mode update is one ``einsum`` over the restarts
+    still iterating. A restart leaves that set once its value stabilizes
+    (relative change at most ``tol``) or it lands on a zero slice (it then
+    contributes 0). Non-finite input raises ``ValueError``.
+
     For an order-2 tensor this reduces to power iteration for the largest
     singular value.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     tensor = np.asarray(tensor, dtype=float)
+    if not np.isfinite(tensor).all():
+        raise ValueError("tensor holds non-finite values")
     order = tensor.ndim
     rng = np.random.default_rng(seed)
+    # one draw in the order of a restart-by-restart, mode-by-mode loop
+    vectors = np.split(rng.standard_normal((restarts, sum(tensor.shape))),
+                       np.cumsum(tensor.shape)[:-1], axis=1)
+    values = np.zeros(restarts)
+    converged = np.zeros(restarts, dtype=bool)
+    active = np.arange(restarts)
+    for i, v in enumerate(vectors):
+        norms = np.linalg.norm(v, axis=1)
+        active = active[norms[active] > 0.0]  # a zero start contributes nothing
+        vectors[i] = v / np.where(norms > 0.0, norms, 1.0)[:, None]
 
-    def contract_all_but(vectors, skip):
-        # Contract every mode except `skip`, descending so axis indices stay valid.
-        out = tensor
-        for mode in range(order - 1, -1, -1):
+    def contract_all_but(members, skip):
+        # one einsum over the stack; axis `order` indexes the restarts
+        if order == 1:
+            return np.broadcast_to(tensor, (members.size, tensor.size))
+        operands = [tensor, list(range(order))]
+        for mode, v in enumerate(vectors):
             if mode != skip:
-                out = np.tensordot(out, vectors[mode], axes=(mode, 0))
-        return out
+                operands += [v[members], [order, mode]]
+        return np.einsum(*operands, [order, skip])
 
-    best = 0.0
-    best_converged = False
-    for _ in range(restarts):
-        vectors = []
-        degenerate = False
-        for size in tensor.shape:
-            v = rng.standard_normal(size)
-            norm = np.linalg.norm(v)
-            if norm == 0.0:
-                degenerate = True
-                break
-            vectors.append(v / norm)
-        if degenerate:
-            continue
-        value = 0.0
-        converged = False
-        for _ in range(max_iters):
-            previous = value
-            for mode in range(order):
-                w = contract_all_but(vectors, mode)
-                norm = np.linalg.norm(w)
-                if norm == 0.0:
-                    # Landed on a zero slice; this restart contributes nothing.
-                    value = 0.0
-                    converged = True
-                    break
-                vectors[mode] = w / norm
-                value = norm
-            else:
-                if abs(value - previous) <= tol * max(1.0, abs(value)):
-                    converged = True
-            if converged:
-                break
-        if value > best or (value == best and converged and not best_converged):
-            best = value
-            best_converged = converged
-    return SpectralNormEstimate(float(best), best_converged)
+    for _ in range(max_iters):
+        if active.size == 0:
+            break
+        previous = values[active]
+        alive = np.ones(active.size, dtype=bool)
+        for mode in range(order):
+            members = active[alive]
+            w = contract_all_but(members, mode)
+            norms = np.linalg.norm(w, axis=1)
+            live = norms > 0.0
+            values[members] = norms
+            # landed on a zero slice: these restarts contribute nothing
+            converged[members[~live]] = True
+            vectors[mode][members[live]] = w[live] / norms[live, None]
+            alive[alive] = live
+        done = active[alive]
+        settled = np.abs(values[done] - previous[alive]) <= tol * np.maximum(
+            1.0, np.abs(values[done]))
+        converged[done[settled]] = True
+        active = done[~settled]
+    # converged if any restart that reached the largest value converged
+    best = max(0.0, float(values.max()))
+    return SpectralNormEstimate(best, bool(converged[values == best].any()))

@@ -28,6 +28,7 @@ import numpy as np
 from .adapters import (
     TeraAdapter,
     _checked,
+    _design_matrices,
     _mode_sizes,
     _pull,
     _reduce_by_d_vectors,
@@ -448,6 +449,41 @@ class AlsResult:
         return (before - last) / before if before > 0 else 0.0
 
 
+def _matvecs(a, x):
+    """``a[s] @ x[s]`` for every member s of a stack of matrices and vectors."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _solve_stacked(phi, w, previous, ridge):
+    """Least squares ``min ||w - phi[s] @ x||`` for every member s of a
+    ``(members, rows, r)`` stack, from one SVD of the stack.
+
+    A member's rank counts the singular values above ``eps * max(rows, r)``
+    times its largest one (``np.linalg.lstsq``'s ``rcond=None`` rule), and
+    its solution is the minimum-norm one on those. A rank-deficient member
+    falls back to a ridge solve, kept only when its residual is no larger
+    than that of ``previous[s]`` (else ``previous[s]`` stays). Returns the
+    ``(members, r)`` solutions and the number of members that fell back.
+    """
+    rows, r = phi.shape[1:]
+    u, s, vt = np.linalg.svd(phi, full_matrices=False)
+    kept = s > np.finfo(float).eps * max(rows, r) * s[:, :1]
+    coef = np.divide(u.transpose(0, 2, 1) @ w, s, out=np.zeros_like(s), where=kept)
+    solution = _matvecs(vt.transpose(0, 2, 1), coef)
+    deficient = np.flatnonzero(kept.sum(axis=1) < r)
+    if deficient.size:
+        sub, held = phi[deficient], previous[deficient]
+        sub_t = sub.transpose(0, 2, 1)
+        gram = sub_t @ sub + ridge * np.eye(r)
+        candidate = np.linalg.solve(gram, (sub_t @ w)[..., None])[..., 0]
+        # Keep the ridge solution only when it does not undo the monotone
+        # decrease an exact minimizer would give.
+        better = (np.linalg.norm(w - _matvecs(sub, candidate), axis=1)
+                  <= np.linalg.norm(w - _matvecs(sub, held), axis=1))
+        solution[deficient] = np.where(better[:, None], candidate, held)
+    return solution, deficient.size
+
+
 def als_approx_error(
     adapter: TeraAdapter,
     target: np.ndarray,
@@ -460,73 +496,63 @@ def als_approx_error(
     """Alternating least squares over the d vectors, then gradient polish.
 
     With all other modes fixed, the delta is linear in one mode's d vector,
-    so each subproblem is exact least squares on the design matrix
-    ``TeraAdapter.design_matrix(mode)``, built by one contraction of the other
-    modes. Modes are swept cyclically; the objective is monotone
+    so each subproblem is exact least squares on that mode's design matrix
+    (``TeraAdapter.design_matrix(mode)``). Modes are swept cyclically; the objective is monotone
     non-increasing within a sweep because each update is an exact minimizer
     (rank-deficient subproblems fall back to a ridge solve and are kept only
     if they do not increase the objective). A sweep's objective is the last
     subproblem's residual ``||w - phi @ d||^2``, so sweeps never materialize
-    the delta. The gradient polish that follows stops once the objective is
-    at most ``64 * eps**2 * ||target||^2`` (float64 ``eps``), the rounding
-    floor. The adapter itself is never mutated; work happens on a clone.
+    the delta. The gradient polish that follows, from the first start whose
+    final sweep objective is smallest, stops once the objective is at most
+    ``64 * eps**2 * ||target||^2`` (float64 ``eps``), the rounding floor.
+    The adapter itself is never mutated; work happens on a clone. A
+    non-finite target raises ``ValueError``.
 
     Multiple starts matter: the zero-initialized state is a stationary point
     where every subproblem for the other modes degenerates, so ALS begins
-    from all-ones plus ``extra_starts`` random d assignments.
+    from all-ones plus ``extra_starts`` random d assignments. The starts run
+    stacked: each mode's d vectors are one ``(starts, rank)`` array, and each
+    subproblem builds every start's design matrix in one contraction
+    (``adapters._design_matrices``) and solves them all with one SVD of the
+    stack (``_solve_stacked``).
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
+    if extra_starts < 0:
+        raise ValueError("extra_starts must be >= 0")
     if not isinstance(adapter, TeraAdapter):
         raise TypeError("alternating least squares applies to the tensor-network family")
     target = np.asarray(target, dtype=float)
     if target.shape != adapter.shape:
         raise ValueError(f"target shape {target.shape} != adapter {adapter.shape}")
+    if not np.isfinite(target).all():
+        raise ValueError("target holds non-finite values")
 
     work = clone_trainable(adapter)
-    scheme = work.scheme
+    core, factors, _ = work.network()
+    ranks = work.scheme.ranks
     w_vec = target.ravel()
     rng = np.random.default_rng(seed)
+    # one draw in the order of a start-by-start, mode-by-mode loop
+    drawn = np.split(rng.standard_normal((extra_starts, sum(ranks))), np.cumsum(ranks)[:-1],
+                     axis=1)
+    d_stacks = [np.vstack([np.ones(r), x]) for r, x in zip(ranks, drawn)]
 
-    starts = [[np.ones(r) for r in scheme.ranks]]
-    for _ in range(extra_starts):
-        starts.append([rng.standard_normal(r) for r in scheme.ranks])
-
-    best_value = math.inf
-    best_d = None
-    best_sweep_values = []
     ridge_fallbacks = 0
-
-    for start in starts:
-        for d, s in zip(work.d_vectors, start):
-            d[:] = s
-        sweep_values = []
-        for _ in range(sweeps):
-            for mode in range(scheme.order):
-                r = scheme.ranks[mode]
-                previous = work.d_vectors[mode].copy()
-                phi = work.design_matrix(mode)
-                solution, _, lstsq_rank, _ = np.linalg.lstsq(phi, w_vec, rcond=None)
-                if lstsq_rank < r:
-                    ridge_fallbacks += 1
-                    gram = phi.T @ phi + ridge * np.eye(r)
-                    candidate = np.linalg.solve(gram, phi.T @ w_vec)
-                    # Keep the ridge solution only when it does not undo the
-                    # monotone decrease an exact minimizer would give.
-                    if np.linalg.norm(w_vec - phi @ candidate) <= np.linalg.norm(
-                        w_vec - phi @ previous
-                    ):
-                        solution = candidate
-                    else:
-                        solution = previous
-                work.d_vectors[mode][:] = solution
-            # the last mode's phi @ solution is the delta after this sweep
-            residual = w_vec - phi @ solution
-            sweep_values.append(float(residual @ residual))
-        if sweep_values[-1] < best_value:
-            best_value = sweep_values[-1]
-            best_d = [d.copy() for d in work.d_vectors]
-            best_sweep_values = sweep_values
+    sweep_values = []  # (starts,) per sweep
+    for _ in range(sweeps):
+        for mode in range(len(ranks)):
+            phi = _design_matrices(core, factors, d_stacks, mode)
+            d_stacks[mode], fell_back = _solve_stacked(phi, w_vec, d_stacks[mode], ridge)
+            ridge_fallbacks += fell_back
+        # the last mode's phi @ solution is each start's delta after this sweep
+        residual = w_vec - _matvecs(phi, d_stacks[-1])
+        sweep_values.append(np.einsum("sk,sk->s", residual, residual))
+    sweep_values = np.array(sweep_values)
+    best = int(np.argmin(sweep_values[-1]))
+    best_value = float(sweep_values[-1, best])
+    best_d = [d[best].copy() for d in d_stacks]
+    best_sweep_values = sweep_values[:, best].tolist()
 
     # Gradient polish from the best start; keep the best iterate seen. It
     # stops at the rounding floor, where no step can make a real gain.

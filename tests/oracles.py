@@ -4,7 +4,10 @@ Everything here is written as plain index loops over the element-wise
 definitions, deliberately avoiding the library's own vectorized paths, so a
 test that compares the two is comparing genuinely independent computations.
 The recovery objective's oracle is the materialized one: the delta formed in
-full, where ``fit_recovery`` works in the core's coordinates.
+full, where ``fit_recovery`` works in the core's coordinates. The
+expressivity verifier's oracles are its sequential forms: alternating least
+squares one start after another and the power method one restart after
+another, where the library stacks them.
 """
 
 import itertools
@@ -12,7 +15,8 @@ import math
 
 import numpy as np
 
-from tera.adapters import materialize_delta
+from tera.adapters import clone_trainable, materialize_delta
+from tera.tensor_ops import SpectralNormEstimate
 from tera.training import delta_gradient
 
 
@@ -102,6 +106,95 @@ def tera_design_by_loops(core, factors, d_vectors, split, mode):
         d[mode] = np.eye(core.shape[mode])[b]
         columns.append(tera_delta_by_loops(core, factors, d, split).ravel())
     return np.stack(columns, axis=1)
+
+
+def least_squares_step(phi, w, previous, ridge):
+    """One ALS subproblem of one start, solved by ``np.linalg.lstsq``: a
+    rank-deficient ``phi`` falls back to a ridge solve, kept only when its
+    residual is no larger than ``previous``'s. Returns the solution and
+    whether it fell back."""
+    r = phi.shape[1]
+    solution, _, rank, _ = np.linalg.lstsq(phi, w, rcond=None)
+    if rank == r:
+        return solution, False
+    candidate = np.linalg.solve(phi.T @ phi + ridge * np.eye(r), phi.T @ w)
+    if np.linalg.norm(w - phi @ candidate) <= np.linalg.norm(w - phi @ previous):
+        return candidate, True
+    return previous.copy(), True
+
+
+def als_sweeps_by_starts(adapter, target, sweeps=50, extra_starts=3, seed=0, ridge=1e-10):
+    """``als_approx_error``'s sweeps, without the polish, one start after
+    another and one ``design_matrix`` and ``lstsq`` per subproblem.
+
+    Returns ``(value, d_vectors, ridge_fallbacks, sweep_values)`` of the
+    first start whose final sweep objective is smallest.
+    """
+    work = clone_trainable(adapter)
+    ranks = work.scheme.ranks
+    w = np.asarray(target, dtype=float).ravel()
+    rng = np.random.default_rng(seed)
+    starts = [[np.ones(r) for r in ranks]]
+    for _ in range(extra_starts):
+        starts.append([rng.standard_normal(r) for r in ranks])
+    best_value, best_d, best_sweep_values = math.inf, None, []
+    fallbacks = 0
+    for start in starts:
+        for d, s in zip(work.d_vectors, start):
+            d[:] = s
+        sweep_values = []
+        for _ in range(sweeps):
+            for mode in range(len(ranks)):
+                phi = work.design_matrix(mode)
+                solution, fell_back = least_squares_step(phi, w, work.d_vectors[mode], ridge)
+                fallbacks += fell_back
+                work.d_vectors[mode][:] = solution
+            residual = w - phi @ solution
+            sweep_values.append(float(residual @ residual))
+        if sweep_values[-1] < best_value:
+            best_value, best_sweep_values = sweep_values[-1], sweep_values
+            best_d = [d.copy() for d in work.d_vectors]
+    return best_value, best_d, fallbacks, best_sweep_values
+
+
+def spectral_norm_by_restarts(tensor, restarts=16, tol=1e-10, max_iters=500, seed=0):
+    """``tensor_spectral_norm`` one restart after another, contracting one
+    mode at a time with ``np.tensordot``."""
+    tensor = np.asarray(tensor, dtype=float)
+    order = tensor.ndim
+    rng = np.random.default_rng(seed)
+
+    def contract_all_but(vectors, skip):
+        out = tensor
+        for mode in range(order - 1, -1, -1):
+            if mode != skip:
+                out = np.tensordot(out, vectors[mode], axes=(mode, 0))
+        return out
+
+    best, best_converged = 0.0, False
+    for _ in range(restarts):
+        vectors = [rng.standard_normal(size) for size in tensor.shape]
+        if any(np.linalg.norm(v) == 0.0 for v in vectors):
+            continue
+        vectors = [v / np.linalg.norm(v) for v in vectors]
+        value, converged = 0.0, False
+        for _ in range(max_iters):
+            previous = value
+            for mode in range(order):
+                w = contract_all_but(vectors, mode)
+                norm = np.linalg.norm(w)
+                if norm == 0.0:  # a zero slice: this restart contributes nothing
+                    value, converged = 0.0, True
+                    break
+                vectors[mode] = w / norm
+                value = norm
+            else:
+                converged = abs(value - previous) <= tol * max(1.0, abs(value))
+            if converged:
+                break
+        if value > best or (value == best and converged and not best_converged):
+            best, best_converged = value, converged
+    return SpectralNormEstimate(float(best), best_converged)
 
 
 def recovery_loss(adapter, task):

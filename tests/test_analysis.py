@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from tera import analysis
 from tera.adapters import (
     FrozenFactorStore,
     init_lora,
@@ -260,6 +261,38 @@ class TestExpressivityBound:
         assert report.terms["als_last_sweep_rel_change"] >= -1e-12
         one_sweep = verify_expressivity_bound(w_star, adapter, **dict(args, sweeps=1))
         assert one_sweep.terms["als_last_sweep_rel_change"] is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_refused(self, bad):
+        w_star = np.ones((8, 8))
+        w_star[3, 4] = bad
+        with pytest.raises(ValueError, match="w_star holds non-finite"):
+            verify_expressivity_bound(w_star, eight_by_eight_adapter(), sweeps=2)
+
+    def test_inconclusive_cause(self, monkeypatch):
+        # The CLI's sixth planted instance at its default seed stalls in an
+        # ALS swamp at 3 extra starts; its power method converges.
+        rng = np.random.default_rng(0)
+        for _ in range(6):
+            master_seed = int(rng.integers(2**31))
+            store = FrozenFactorStore(master_seed)
+            target = planted_recovery_task(EIGHT, store, seed=int(rng.integers(2**31))).target
+        adapter = init_tera(8, 8, EIGHT, store)
+        stalled = verify_expressivity_bound(target, adapter, seed=master_seed)
+        assert stalled.verdict == "inconclusive"
+        assert stalled.terms["spectral_norm_converged"]
+        assert stalled.to_json_dict()["terms"]["inconclusive_cause"] == "als_stalled"
+        held = verify_expressivity_bound(target, adapter, extra_starts=12, seed=master_seed)
+        assert held.verdict == "holds" and held.terms["inconclusive_cause"] == "none"
+
+        real = analysis.tensor_spectral_norm
+        monkeypatch.setattr(analysis, "tensor_spectral_norm",
+                            lambda z, seed: real(z, seed=seed)._replace(converged=False))
+        unsettled = verify_expressivity_bound(target, adapter, seed=master_seed)
+        assert unsettled.verdict == "inconclusive"
+        assert unsettled.terms["inconclusive_cause"] == "spectral_not_converged"
+        held = verify_expressivity_bound(target, adapter, extra_starts=12, seed=master_seed)
+        assert held.terms["inconclusive_cause"] == "none"
 
     def test_near_zero_core_rejected(self):
         adapter = eight_by_eight_adapter(master_seed=23)

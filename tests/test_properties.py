@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from tera.adapters import (
     FrozenFactorStore,
+    _design_matrices,
     apply_delta,
     init_hira,
     init_lora,
@@ -103,6 +104,21 @@ def test_design_matrix_times_d_is_the_delta(a):
     delta = materialize_delta(a).ravel()
     for mode, d in enumerate(a.network()[2]):
         assert _rel(a.design_matrix(mode) @ d, delta) <= 1e-12
+
+
+@PROPERTY
+@given(network_adapter, st.integers(1, 4))
+def test_stacked_design_matrices_are_the_members_design_matrices(a, members):
+    core, factors, d_vectors = a.network()
+    rng = np.random.default_rng(members)
+    stacks = [rng.standard_normal((members, d.size)) for d in d_vectors]
+    member = a.clone()
+    for mode in range(core.ndim):
+        phi = _design_matrices(core, factors, stacks, mode)
+        for s in range(members):
+            for d, stack in zip(member.network()[2], stacks):
+                d[:] = stack[s]
+            assert _rel(phi[s], member.design_matrix(mode)) <= 1e-12
 
 
 @PROPERTY

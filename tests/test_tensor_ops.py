@@ -14,7 +14,12 @@ from tera.tensor_ops import (
     unfold,
 )
 
-from oracles import integer_tensor, mode_product_by_loops, unfold_by_enumeration
+from oracles import (
+    integer_tensor,
+    mode_product_by_loops,
+    spectral_norm_by_restarts,
+    unfold_by_enumeration,
+)
 
 
 class TestScheme:
@@ -238,6 +243,29 @@ class TestSvdPinv:
             pseudoinverse(np.eye(2), rel_cutoff=0.0)
 
 
+def _gaussian(shape, seed):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+_ZERO_SLICE = _gaussian((3, 4, 2), 3)
+_ZERO_SLICE[:, 1, :] = 0.0
+
+# (tensor, arguments): rank grids of acceptance criteria 5 and 6's schemes,
+# reduced ranks, a matrix, one restart, a budget too small to converge, the
+# zero tensor (every restart lands on a zero slice at once) and a tensor with
+# a zero slice.
+LOCKSTEP_CASES = {
+    **{f"grid{shape}": (_gaussian(shape, i), {"seed": i}) for i, shape in enumerate([
+        (4, 2, 2), (2, 2, 2, 2), (4, 4), (2, 4, 4, 2), (16, 4, 4), (4, 4, 4, 4),
+        (2, 8, 8, 2), (8, 2, 2, 2), (2, 2, 2, 2, 2, 2), (2, 4, 2, 4), (2, 2, 1, 3)])},
+    "matrix": (_gaussian((5, 3), 11), {"seed": 11}),
+    "one_restart": (_gaussian((2, 4, 2, 4), 12), {"restarts": 1}),
+    "max_iters_2": (_gaussian((2, 4, 2, 4), 13), {"max_iters": 2}),
+    "zero": (np.zeros((2, 3, 2)), {}),
+    "zero_slice": (_ZERO_SLICE, {"seed": 3}),
+}
+
+
 class TestSpectralNorm:
     def test_matrix_case_matches_largest_singular_value(self):
         rng = np.random.default_rng(13)
@@ -268,3 +296,18 @@ class TestSpectralNorm:
     def test_rejects_zero_restarts(self):
         with pytest.raises(ValueError):
             tensor_spectral_norm(np.zeros((2, 2)), restarts=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_tensor(self, bad):
+        t = np.ones((2, 3, 2))
+        t[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="tensor holds non-finite"):
+            tensor_spectral_norm(t)
+
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+    def test_lockstep_matches_the_sequential_oracle(self, case):
+        tensor, args = LOCKSTEP_CASES[case]
+        got = tensor_spectral_norm(tensor, **args)
+        want = spectral_norm_by_restarts(tensor, **args)
+        assert got.converged == want.converged
+        assert abs(got.value - want.value) <= 1e-12 * want.value

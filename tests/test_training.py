@@ -36,7 +36,12 @@ from tera.training import (
     write_json,
 )
 
-from oracles import recovery_gradients, recovery_loss
+from oracles import (
+    als_sweeps_by_starts,
+    least_squares_step,
+    recovery_gradients,
+    recovery_loss,
+)
 
 SMALL = TensorizationScheme((2, 2, 2, 2), split=2)
 
@@ -385,6 +390,24 @@ class TestFitRecovery:
         assert len(calls) == expected
 
 
+# The gradient-check and materialization scheme pools of acceptance criteria
+# 5 and 6, reduced ranks, and identity factors.
+ALS_CASES = [
+    (TensorizationScheme((4, 2, 2), split=1), False),
+    (TensorizationScheme((2, 2, 2, 2), split=2), False),
+    (TensorizationScheme((4, 4), split=1), False),
+    (TensorizationScheme((2, 4, 4, 2), split=2), False),
+    (TensorizationScheme((16, 4, 4), split=1), False),
+    (TensorizationScheme((4, 4, 4, 4), split=2), False),
+    (TensorizationScheme((2, 8, 8, 2), split=2), False),
+    (TensorizationScheme((8, 2, 2, 2), split=1), False),
+    (TensorizationScheme((2, 2, 2, 2, 2, 2), split=3), False),
+    (TensorizationScheme((2, 4, 2, 4), split=2, ranks=(2, 2, 1, 3)), False),
+    (TensorizationScheme((2, 4, 2, 4), split=2), True),
+    (TensorizationScheme((4, 2, 2), split=1), True),
+]
+
+
 class TestAls:
     def test_planted_reaches_zero(self):
         store = FrozenFactorStore(12)
@@ -521,6 +544,69 @@ class TestAls:
         assert result.ridge_fallbacks > 0
         for earlier, later in zip(result.sweep_values, result.sweep_values[1:]):
             assert later <= earlier + 1e-12
+
+    @pytest.mark.parametrize("scheme,identity", ALS_CASES, ids=[
+        f"{s.mode_sizes}-split{s.split}-ranks{s.ranks}" + ("-identity" if i else "")
+        for s, i in ALS_CASES])
+    @pytest.mark.parametrize("kind", ["planted", "gaussian"])
+    def test_stacked_starts_match_the_sequential_oracle(self, scheme, identity, kind):
+        store = FrozenFactorStore(60)
+        adapter = init_tera(scheme.rows, scheme.cols, scheme, store, identity_factors=identity)
+        if kind == "planted":
+            target = planted_recovery_task(scheme, store, seed=5, identity_factors=identity).target
+        else:
+            target = gaussian_recovery_task(scheme.rows, scheme.cols, seed=5).target
+        result = als_approx_error(adapter, target, sweeps=6, extra_starts=3, polish_steps=0,
+                                  seed=3)
+        value, _, fallbacks, sweep_values = als_sweeps_by_starts(
+            adapter, target, sweeps=6, extra_starts=3, seed=3)
+        scale = float(np.sum(target * target))
+        assert abs(result.value - value) <= 1e-10 * scale
+        assert_allclose(result.sweep_values, sweep_values, rtol=0, atol=1e-10 * scale)
+        assert result.ridge_fallbacks == fallbacks
+
+    def test_ridge_fallbacks_match_the_sequential_oracle(self):
+        # identical factor rows and core slices make every start's mode-0
+        # subproblem deficient
+        rng = np.random.default_rng(15)
+        entry = StoreEntry(core=np.ones((2, 2)),
+                           factors=(np.ones((2, 3)), rng.standard_normal((2, 3))))
+        scheme = TensorizationScheme((3, 3), split=1, ranks=(2, 2))
+        adapter = TeraAdapter(scheme, entry, [np.ones(2), np.ones(2)], 1, 0)
+        target = rng.standard_normal((3, 3))
+        result = als_approx_error(adapter, target, sweeps=5, polish_steps=0, seed=2)
+        value, _, fallbacks, _ = als_sweeps_by_starts(adapter, target, sweeps=5, seed=2)
+        assert result.ridge_fallbacks == fallbacks == 4 * 5
+        assert abs(result.value - value) <= 1e-10 * float(np.sum(target * target))
+
+    def test_stacked_solve_masks_the_ridge_fallback_per_member(self):
+        # Members 1 and 3 are rank deficient (a repeated column, all zeros);
+        # members 0 and 2 are solved exactly, untouched by the fallback.
+        rng = np.random.default_rng(31)
+        phi = rng.standard_normal((4, 12, 3))
+        phi[1, :, 2] = phi[1, :, 0]
+        phi[3] = 0.0
+        w = rng.standard_normal(12)
+        previous = rng.standard_normal((4, 3))
+        solution, fell_back = training._solve_stacked(phi, w, previous, 1e-10)
+        assert fell_back == 2
+        for s in range(4):
+            want, want_fell_back = least_squares_step(phi[s], w, previous[s], 1e-10)
+            assert want_fell_back == (s in (1, 3))
+            assert_allclose(solution[s], want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_refused(self, bad):
+        adapter = init_tera(4, 4, SMALL, FrozenFactorStore(0))
+        target = np.ones((4, 4))
+        target[1, 2] = bad
+        with pytest.raises(ValueError, match="target holds non-finite"):
+            als_approx_error(adapter, target, sweeps=3)
+
+    def test_negative_extra_starts_refused(self):
+        adapter = init_tera(4, 4, SMALL, FrozenFactorStore(0))
+        with pytest.raises(ValueError, match="extra_starts"):
+            als_approx_error(adapter, np.zeros((4, 4)), extra_starts=-1)
 
     def test_does_not_mutate_adapter(self):
         adapter = init_tera(4, 4, SMALL, FrozenFactorStore(16))
