@@ -37,7 +37,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -199,9 +198,18 @@ def _mode_sizes(core, factors):
     return [r if f is None else f.shape[1] for r, f in zip(core.shape, factors)]
 
 
+def _outer(vectors):
+    """The flattened outer product of ``vectors``, built from the left by
+    broadcasting: ``(a[:, None] * b).ravel()``, then that times the next."""
+    out = vectors[0]
+    for v in vectors[1:]:
+        out = (out[:, None] * v).ravel()
+    return out
+
+
 def _scaled_core(core, d_vectors):
     """The core times the outer product of the d vectors."""
-    return core * reduce(np.multiply.outer, d_vectors)
+    return core * _outer(d_vectors).reshape(core.shape)
 
 
 def _scale_mode(t, factor, d, mode, adjoint=False):
@@ -239,16 +247,17 @@ def _reduce_by_d_vectors(weighted, d_vectors):
     i: O(order * core) in all. No division by d entries, so zero d vectors
     are safe, and a zero slice of ``weighted`` gives an exactly zero entry.
     """
-    suffixes = [np.ones(1)]  # suffixes[-1 - i]: outer product of d_{i+1..}
-    for d in reversed(d_vectors[1:]):
-        suffixes.append(np.multiply.outer(d, suffixes[-1]).ravel())
+    suffixes = [d_vectors[-1]]  # suffixes[-1 - i]: outer product of d_{i+1..}
+    for d in reversed(d_vectors[1:-1]):
+        suffixes.append(_outer([d, suffixes[-1]]))
     grads = []
     prefix = weighted
-    for i, d in enumerate(d_vectors):
+    for i, d in enumerate(d_vectors[:-1]):
         prefix = np.reshape(prefix, (d.size, -1))
         grads.append(prefix @ suffixes[-1 - i])
         prefix = d @ prefix
-    return grads
+    # the last mode has nothing after it: its gradient is the contraction
+    return grads + [np.reshape(prefix, -1)]
 
 
 def _design_matrices(core, factors, d_stacks, mode):

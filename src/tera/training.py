@@ -132,17 +132,33 @@ class OptimizerConfig:
 
 
 class _Optimizer:
-    """First-order updates with linear learning-rate warmup, in place."""
+    """First-order updates with linear learning-rate warmup, in place.
+
+    The trainable arrays are stepped as one contiguous float64 buffer, with
+    moment buffers of the same size: a step concatenates the gradients,
+    updates the whole buffer with one sequence of ufuncs (element for
+    element the per-array update) and copies each array's slice back. The
+    buffer is the parameters' state, so between steps only the optimizer
+    may write to the arrays.
+    """
 
     def __init__(self, cfg: OptimizerConfig, arrays):
         self.cfg = cfg
         self.arrays = list(arrays)
         self.t = 0
+        self._flat = np.zeros(sum(a.size for a in self.arrays))
+        self._parts, start = [], 0
+        for a in self.arrays:
+            part = self._flat[start:start + a.size].reshape(a.shape)
+            part[...] = a
+            self._parts.append(part)
+            start += a.size
+        self._grad = np.empty_like(self._flat)
         if cfg.algorithm == "adamw":
-            self._m = [np.zeros_like(a) for a in self.arrays]
-            self._v = [np.zeros_like(a) for a in self.arrays]
+            self._m = np.zeros_like(self._flat)
+            self._v = np.zeros_like(self._flat)
         else:
-            self._vel = [np.zeros_like(a) for a in self.arrays]
+            self._vel = np.zeros_like(self._flat)
 
     def _lr(self):
         lr = self.cfg.learning_rate
@@ -150,27 +166,45 @@ class _Optimizer:
             lr *= min(1.0, self.t / self.cfg.warmup_steps)
         return lr
 
+    def _gather(self, grads):
+        """The gradients as one buffer; each must have its array's shape."""
+        if len(grads) != len(self.arrays):
+            index, what = ((len(grads), "is missing") if len(grads) < len(self.arrays)
+                           else (len(self.arrays), "has no array"))
+            raise ValueError(f"gradient {index} {what}: got {len(grads)} gradients for "
+                             f"{len(self.arrays)} arrays")
+        flat = []
+        for i, (g, arr) in enumerate(zip(grads, self.arrays)):
+            g = np.asarray(g)
+            if g.shape != arr.shape:
+                raise ValueError(f"gradient {i} has shape {g.shape}, its array {arr.shape}")
+            flat.append(g.reshape(-1))
+        return np.concatenate(flat, out=self._grad) if flat else self._grad
+
     def step(self, grads):
+        g = self._gather(grads)
         self.t += 1
         lr = self._lr()
         b1, b2 = self.cfg.betas
         wd = self.cfg.weight_decay
+        flat = self._flat
         if self.cfg.algorithm == "adamw":
             eps = 1e-8
-            for arr, g, m, v in zip(self.arrays, grads, self._m, self._v):
-                g = np.asarray(g, dtype=float)
-                m *= b1
-                m += (1 - b1) * g
-                v *= b2
-                v += (1 - b2) * g * g
-                m_hat = m / (1 - b1**self.t)
-                v_hat = v / (1 - b2**self.t)
-                arr -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * arr)
+            m, v = self._m, self._v
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1**self.t)
+            v_hat = v / (1 - b2**self.t)
+            flat -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * flat)
         else:
-            for arr, g, vel in zip(self.arrays, grads, self._vel):
-                vel *= b1
-                vel += np.asarray(g, dtype=float)
-                arr -= lr * (vel + wd * arr)
+            vel = self._vel
+            vel *= b1
+            vel += g
+            flat -= lr * (vel + wd * flat)
+        for arr, part in zip(self.arrays, self._parts):
+            arr[...] = part
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +268,14 @@ def planted_recovery_task(
 
 @dataclass
 class TrainReport:
-    """Everything a run produced: curve, final metrics, ranks, config echo."""
+    """Everything a run produced: curve, final metrics, ranks, config echo.
+
+    ``timings`` splits the wall time into phases: ``objective_s`` (loss and
+    gradients, every evaluated step), ``optimizer_s`` (the optimizer steps)
+    and ``report_s`` (building this report). Like ``wall_time_seconds`` it
+    goes to ``report.json`` only, never to a CSV, so reruns stay
+    byte-identical.
+    """
 
     loss_curve: list
     final_loss: float
@@ -243,12 +284,14 @@ class TrainReport:
     delta_ranks: dict
     config: dict
     metrics: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
 
     def to_json_dict(self):
         return {
             "format_version": REPORT_FORMAT_VERSION,
             "final_loss": self.final_loss,
             "wall_time_seconds": self.wall_time_seconds,
+            "timings": self.timings,
             "trainable_param_count": self.trainable_param_count,
             "delta_ranks": self.delta_ranks,
             "metrics": self.metrics,
@@ -319,31 +362,41 @@ def _fit_adapters(adapters, objective, cfg, config, summary) -> TrainReport:
     report. The report ranks the last evaluated deltas, materialized once
     here when the objective formed none (the rank of a non-finite delta is
     None), and takes its final loss and metrics from
-    ``summary(deltas, loss)``.
+    ``summary(deltas, loss)``. The report's ``timings`` add up the time
+    spent in the objective, in the optimizer and in building the report.
     """
     t0 = time.perf_counter()
     opt = _Optimizer(cfg, [arr for a in adapters.values() for arr in a.trainable_arrays()])
     curve = []
+    timings = {"objective_s": 0.0, "optimizer_s": 0.0}
 
     def report(loss, deltas):
+        start = time.perf_counter()
         deltas = deltas or {name: materialize_delta(a) for name, a in adapters.items()}
         final_loss, metrics = summary(deltas, loss)
+        ranks = {name: _rank(d) for name, d in deltas.items()}
+        end = time.perf_counter()
         return TrainReport(
             loss_curve=list(curve),
             final_loss=final_loss,
-            wall_time_seconds=time.perf_counter() - t0,
+            wall_time_seconds=end - t0,
             trainable_param_count=sum(trainable_param_count(a) for a in adapters.values()),
-            delta_ranks={name: _rank(d) for name, d in deltas.items()},
+            delta_ranks=ranks,
             config=config,
             metrics=metrics,
+            timings=dict(timings, report_s=end - start),
         )
 
     for step in range(cfg.max_steps + 1):
+        start = time.perf_counter()
         loss, grads, deltas = objective(adapters)
+        timings["objective_s"] += time.perf_counter() - start
         curve.append((step, loss))
         _check_divergence(step, loss, curve[0][1], lambda: report(loss, deltas))
         if step < cfg.max_steps:
+            start = time.perf_counter()
             opt.step(grads)
+            timings["optimizer_s"] += time.perf_counter() - start
     return report(loss, deltas)
 
 

@@ -7,7 +7,8 @@ The recovery objective's oracle is the materialized one: the delta formed in
 full, where ``fit_recovery`` works in the core's coordinates. The
 expressivity verifier's oracles are its sequential forms: alternating least
 squares one start after another and the power method one restart after
-another, where the library stacks them.
+another, where the library stacks them. The optimizer's oracle steps each
+trainable array on its own, where the library steps one flat buffer.
 """
 
 import itertools
@@ -195,6 +196,45 @@ def spectral_norm_by_restarts(tensor, restarts=16, tol=1e-10, max_iters=500, see
         if value > best or (value == best and converged and not best_converged):
             best, best_converged = value, converged
     return SpectralNormEstimate(float(best), best_converged)
+
+
+class OptimizerByArrays:
+    """``training._Optimizer`` one array at a time: each array has its own
+    moment buffers and is updated in place, with linear warmup."""
+
+    def __init__(self, cfg, arrays):
+        self.cfg = cfg
+        self.arrays = list(arrays)
+        self.t = 0
+        if cfg.algorithm == "adamw":
+            self._m = [np.zeros_like(a) for a in self.arrays]
+            self._v = [np.zeros_like(a) for a in self.arrays]
+        else:
+            self._vel = [np.zeros_like(a) for a in self.arrays]
+
+    def step(self, grads):
+        self.t += 1
+        lr = self.cfg.learning_rate
+        if self.cfg.warmup_steps > 0:
+            lr *= min(1.0, self.t / self.cfg.warmup_steps)
+        b1, b2 = self.cfg.betas
+        wd = self.cfg.weight_decay
+        if self.cfg.algorithm == "adamw":
+            eps = 1e-8
+            for arr, g, m, v in zip(self.arrays, grads, self._m, self._v, strict=True):
+                g = np.asarray(g, dtype=float)
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * g * g
+                m_hat = m / (1 - b1**self.t)
+                v_hat = v / (1 - b2**self.t)
+                arr -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * arr)
+        else:
+            for arr, g, vel in zip(self.arrays, grads, self._vel, strict=True):
+                vel *= b1
+                vel += np.asarray(g, dtype=float)
+                arr -= lr * (vel + wd * arr)
 
 
 def recovery_loss(adapter, task):

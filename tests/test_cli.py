@@ -138,6 +138,12 @@ class TestFit:
         assert (out1 / "loss.csv").read_bytes() == (out2 / "loss.csv").read_bytes()
         assert (out1 / "report.json").read_text() != ""  # sanity
 
+    def test_phase_timings_go_to_the_report_only(self, tmp_path, capsys):
+        _, out = run_fit(tmp_path, "run", "--max-steps", "20")
+        timings = json.loads((out / "report.json").read_text())["timings"]
+        assert sorted(timings) == ["objective_s", "optimizer_s", "report_s"]
+        assert (out / "loss.csv").read_text().split("\n")[0] == "step,loss"
+
     def test_checkpoint_reloads_to_same_delta(self, tmp_path, capsys):
         _, out = run_fit(tmp_path, "run")
         store = FrozenFactorStore(0)

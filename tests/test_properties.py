@@ -3,9 +3,12 @@
 Small random tensorization schemes (reduced ranks and identity factors
 included), VeRA shapes with ranks below and above both sides, and the two
 low-rank families, each checked against the brute-force oracles in
-``oracles``. Runs are derandomized with a fixed example budget, so the suite
-stays deterministic.
+``oracles``; the recovery objective in rank space against the materialized
+one; and the scheme and tensor reshapes against their inverses. Runs are
+derandomized with a fixed example budget, so the suite stays deterministic.
 """
+
+from functools import reduce
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from tera.adapters import (
     FrozenFactorStore,
     _design_matrices,
+    _scaled_core,
     apply_delta,
     init_hira,
     init_lora,
@@ -21,8 +25,10 @@ from tera.adapters import (
     init_vera,
     materialize_delta,
 )
-from tera.tensor_ops import TensorizationScheme
-from tera.training import finite_difference_check, gaussian_recovery_task
+from tera import training
+from tera.cli import format_scheme, parse_scheme
+from tera.tensor_ops import TensorizationScheme, fold, unfold
+from tera.training import delta_gradient, finite_difference_check, gaussian_recovery_task
 
 from oracles import (
     explicit_factors,
@@ -143,3 +149,72 @@ def test_low_rank_deltas(a):
     if a.family == "hira":
         want = want * a.w0
     np.testing.assert_array_equal(materialize_delta(a), want)
+
+
+@PROPERTY
+@given(network_adapter, st.integers(-1, 3))
+def test_rank_space_recovery_matches_the_materialized_objective(a, zeroed):
+    # loss within 1e-10 ||T||^2, gradients against the materialized residual's;
+    # a ``zeroed`` that names a mode zeroes its d vector, which makes every
+    # other mode's gradient exactly zero on both sides
+    d_vectors = a.network()[2]
+    if 0 <= zeroed < len(d_vectors):
+        d_vectors[zeroed][:] = 0.0
+    task = gaussian_recovery_task(*a.shape, seed=3)
+    loss, grads, _ = training._recovery_objective(a, task.target)({"adapter": a})
+    assert abs(loss - recovery_loss(a, task)) <= 1e-10 * np.sum(task.target**2)
+    want = delta_gradient(a, materialize_delta(a) - task.target)
+    for got, expected in zip(grads, want, strict=True):
+        assert _rel(got, expected) <= 1e-10
+
+
+@PROPERTY
+@given(network_adapter)
+def test_scaled_core_multiplies_the_d_vectors_from_the_left(a):
+    # bit for bit ((d_0 x d_1) x d_2) ..., the association every fit's
+    # rounding was recorded with
+    core, _, d_vectors = a.network()
+    np.testing.assert_array_equal(_scaled_core(core, d_vectors),
+                                  core * reduce(np.multiply.outer, d_vectors))
+
+
+@st.composite
+def schemes(draw):
+    sizes = draw(st.lists(st.integers(2, 9), min_size=2, max_size=6))
+    return TensorizationScheme(tuple(sizes), split=draw(st.integers(1, len(sizes) - 1)))
+
+
+@PROPERTY
+@given(schemes())
+def test_scheme_spec_round_trips(scheme):
+    spec = format_scheme(scheme)
+    assert parse_scheme(spec) == scheme
+    assert format_scheme(parse_scheme(spec)) == spec
+    unsplit = ",".join(map(str, scheme.mode_sizes))
+    assert parse_scheme(unsplit, split=scheme.split) == scheme
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(2, 5), st.integers(1, 3)), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(2, 5), st.integers(1, 3)), min_size=1, max_size=3))
+def test_repeat_groups_expand_in_order(left, right):
+    def group(parts):
+        return ",".join(f"{base}^{count}" for base, count in parts)
+
+    def expanded(parts):
+        return [base for base, count in parts for _ in range(count)]
+
+    scheme = parse_scheme(f"{group(left)}|{group(right)}")
+    assert list(scheme.mode_sizes) == expanded(left) + expanded(right)
+    assert scheme.split == len(expanded(left))
+    assert parse_scheme(format_scheme(scheme)) == scheme
+
+
+@PROPERTY
+@given(schemes(), st.integers(0, 2**16))
+def test_fold_and_unfold_are_inverse(scheme, seed):
+    matrix = np.random.default_rng(seed).standard_normal((scheme.rows, scheme.cols))
+    tensor = fold(matrix, scheme)
+    assert tensor.shape == scheme.mode_sizes
+    np.testing.assert_array_equal(unfold(tensor, scheme.split), matrix)
+    np.testing.assert_array_equal(fold(unfold(tensor, scheme.split), scheme), tensor)

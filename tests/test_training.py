@@ -37,6 +37,7 @@ from tera.training import (
 )
 
 from oracles import (
+    OptimizerByArrays,
     als_sweeps_by_starts,
     least_squares_step,
     recovery_gradients,
@@ -258,6 +259,41 @@ class TestOptimizers:
     def test_boundary_settings_accepted(self):
         OptimizerConfig(learning_rate=0.0, weight_decay=0.0, betas=(0.0, 0.0))
 
+    SHAPES = [(5,), (3, 4), (1,), (2, 3), (7,)]
+
+    @pytest.mark.parametrize("algorithm", ["adamw", "sgd-momentum"])
+    @pytest.mark.parametrize("weight_decay, warmup_steps", [(0.0, 0), (0.05, 10)])
+    def test_fused_step_matches_the_per_array_oracle(self, algorithm, weight_decay,
+                                                     warmup_steps):
+        # vectors and matrices in one buffer, 50 steps, bit for bit
+        rng = np.random.default_rng(3)
+        cfg = OptimizerConfig(algorithm=algorithm, learning_rate=0.05,
+                              weight_decay=weight_decay, warmup_steps=warmup_steps)
+        fused = [rng.standard_normal(shape) for shape in self.SHAPES]
+        by_arrays = [a.copy() for a in fused]
+        opt, oracle = _Optimizer(cfg, fused), OptimizerByArrays(cfg, by_arrays)
+        for _ in range(50):
+            grads = [rng.standard_normal(shape) for shape in self.SHAPES]
+            opt.step(grads)
+            oracle.step(grads)
+            for got, want in zip(fused, by_arrays, strict=True):
+                assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("grads, index", [
+        ([np.ones(5), np.ones((3, 4))], "gradient 2 is missing"),
+        ([np.ones(s) for s in SHAPES + [(2,)]], "gradient 5 has no array"),
+        ([np.ones(5), np.ones((4, 3)), np.ones(1), np.ones((2, 3)), np.ones(7)],
+         r"gradient 1 has shape \(4, 3\)"),
+    ], ids=["short", "long", "wrong-shape"])
+    def test_gradient_list_must_match_the_arrays(self, grads, index):
+        arrays = [np.full(shape, 2.0) for shape in self.SHAPES]
+        opt = _Optimizer(OptimizerConfig(warmup_steps=0), arrays)
+        with pytest.raises(ValueError, match=index):
+            opt.step(grads)
+        assert opt.t == 0
+        for arr in arrays:
+            assert_array_equal(arr, 2.0)
+
 
 class TestRecoveryTasks:
     def test_generators_reproducible(self):
@@ -365,6 +401,34 @@ class TestFitRecovery:
         task = gaussian_recovery_task(4, 4, seed=0)
         report = fit_recovery(adapter, task, self.cfg(max_steps=2))
         assert report.config["family"] == family
+
+    @pytest.mark.parametrize("family", ["tera", "tera_iden", "lora", "vera", "hira"])
+    def test_loss_curve_matches_the_per_array_oracle(self, monkeypatch, family):
+        def fit():
+            adapter = training.build_adapter(
+                family, 16, 16, store=FrozenFactorStore(4),
+                scheme=TensorizationScheme((4, 4, 4, 4), split=2), rank=3,
+                w0=synthetic_base_weight(16, 16, 4))
+            report = fit_recovery(adapter, gaussian_recovery_task(16, 16, seed=4),
+                                  self.cfg(max_steps=200, weight_decay=0.01))
+            return report.loss_curve, adapter.trainable_arrays()
+
+        curve, arrays = fit()
+        monkeypatch.setattr(training, "_Optimizer", OptimizerByArrays)
+        want_curve, want_arrays = fit()
+        assert curve == want_curve
+        for got, want in zip(arrays, want_arrays, strict=True):
+            assert_array_equal(got, want)
+
+    def test_report_times_its_phases(self):
+        adapter = init_tera(4, 4, SMALL, FrozenFactorStore(0))
+        report = fit_recovery(adapter, gaussian_recovery_task(4, 4, seed=0),
+                              self.cfg(max_steps=10))
+        timings = report.timings
+        assert sorted(timings) == ["objective_s", "optimizer_s", "report_s"]
+        assert all(t > 0 for t in timings.values())
+        assert sum(timings.values()) <= report.wall_time_seconds
+        assert report.to_json_dict()["timings"] == timings
 
     def test_one_materialization_per_evaluated_step(self, monkeypatch):
         # the tensor network trains in the core's coordinates: its delta is
