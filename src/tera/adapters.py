@@ -109,12 +109,21 @@ def _shape(doc, key):
                   and all(type(n) is int and n > 0 for n in v), "two positive integers")
 
 
+def _numbers(value):
+    """Whether ``value`` is a JSON number or lists nesting only numbers; a
+    boolean is none, though numpy would read it as 0 or 1."""
+    if isinstance(value, list):
+        return all(_numbers(v) for v in value)
+    return type(value) in (int, float)
+
+
 def _array(value, shape, name):
     """``value`` as a finite float array of ``shape`` (None matches any size)."""
     try:
         arr = np.array(value)
-        ok = arr.dtype.kind in "iuf" and arr.size > 0 and arr.ndim == len(shape) and all(
-            want in (None, got) for want, got in zip(shape, arr.shape))
+        ok = (_numbers(value) and arr.dtype.kind in "iuf" and arr.size > 0
+              and arr.ndim == len(shape)
+              and all(want in (None, got) for want, got in zip(shape, arr.shape)))
     except ValueError:  # ragged nesting
         ok = False
     if not ok:

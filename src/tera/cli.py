@@ -241,10 +241,12 @@ def _diverged(exc, args, out):
     if exc.report is not None:
         _write_fit_report(exc.report, out)
     write_resolved_config(out, "fit", args)
+    # a diverged pretraining has no fit to report
+    written = "resolved config" if exc.report is None else "partial report"
     return CliError(
         EXIT_DIVERGED,
         f"diverged at step {exc.step} (loss {exc.loss:.3e}); "
-        f"partial report written to {out}",
+        f"{written} written to {out}",
     )
 
 
@@ -315,10 +317,11 @@ def _fit_mlp(args, out):
     cfg = _optimizer_config(args)
     kwargs = _mlp_task_regen_kwargs(args)
     kwargs["layer_sizes"] = tuple(kwargs["layer_sizes"])
-    task = make_mlp_adapt_task(**kwargs)
     store = FrozenFactorStore(args.master_seed)
     scheme = parse_scheme(args.scheme, args.split) if args.scheme else None
     try:
+        # pretraining the base network can diverge too
+        task = make_mlp_adapt_task(**kwargs)
         report, adapters = fit_mlp_adapt(
             task, args.family, cfg,
             store=store, scheme=scheme, rank=args.rank,
@@ -380,7 +383,7 @@ def _load_any_checkpoint(path, task_cache):
                 kwargs["layer_sizes"] = tuple(kwargs["layer_sizes"])
                 task_cache[key] = make_mlp_adapt_task(**kwargs)
             base_weight = task_cache[key].base_weights[provenance["layer"]]
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, DivergenceError) as exc:
             raise CliError(EXIT_CONFIG, f"cannot rebuild the base weight of {path}: {exc!r}")
     try:
         return load_checkpoint(path, store=store, base_weight=base_weight)

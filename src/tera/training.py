@@ -683,20 +683,24 @@ class MlpAdaptTask:
         }
 
 
-def _mlp_forward(weights, x):
+def _mlp_forward(weights, x, n_classes):
     """The input followed by every layer's output: tanh after each hidden
-    layer, none after the last."""
+    layer, none after the last, which forms only its first ``n_classes``
+    outputs (the only ones the loss and the predictions read)."""
     activations = [x]
+    last = len(weights) - 1
     for layer, w in enumerate(weights):
-        h = activations[-1] @ w.T
-        if layer < len(weights) - 1:
+        if layer < last:
+            h = activations[-1] @ w.T
             np.tanh(h, out=h)
+        else:
+            h = activations[-1] @ w[:n_classes].T
         activations.append(h)
     return activations
 
 
 def mlp_predict(weights, x, n_classes):
-    return np.argmax(_mlp_forward(weights, x)[-1][:, :n_classes], axis=1)
+    return np.argmax(_mlp_forward(weights, x, n_classes)[-1], axis=1)
 
 
 def mlp_accuracy(weights, data, n_classes) -> float:
@@ -705,10 +709,14 @@ def mlp_accuracy(weights, data, n_classes) -> float:
 
 
 def _mlp_loss_and_grads(weights, x, y, n_classes):
-    """Cross-entropy on the first ``n_classes`` outputs; gradients per weight."""
-    activations = _mlp_forward(weights, x)
-    h = activations[-1]
-    scores = h[:, :n_classes]
+    """Cross-entropy on the first ``n_classes`` outputs; gradients per weight.
+
+    Only what the loss reads is formed: the last layer's first ``n_classes``
+    rows, whose gradient fills those rows of a zero array (the other rows
+    stay exactly zero), and no gradient with respect to the input ``x``.
+    """
+    activations = _mlp_forward(weights, x, n_classes)
+    scores = activations[-1]
     shifted = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)
@@ -717,14 +725,17 @@ def _mlp_loss_and_grads(weights, x, y, n_classes):
     dscores = probs.copy()
     dscores[np.arange(n), y] -= 1.0
     dscores /= n
-    dh = np.zeros_like(h)
-    dh[:, :n_classes] = dscores
+    last = len(weights) - 1
     grads = [None] * len(weights)
-    for layer in range(len(weights) - 1, -1, -1):
+    grads[last] = np.zeros_like(weights[last])
+    grads[last][:n_classes] = dscores.T @ activations[last]
+    dh = dscores @ weights[last][:n_classes]
+    for layer in range(last - 1, -1, -1):
         out = activations[layer + 1]
-        dz = dh if layer == len(weights) - 1 else dh * (1.0 - out * out)
+        dz = dh * (1.0 - out * out)
         grads[layer] = dz.T @ activations[layer]
-        dh = dz @ weights[layer]
+        if layer > 0:
+            dh = dz @ weights[layer]
     return loss, grads
 
 
@@ -755,15 +766,24 @@ def make_mlp_adapt_task(
     """Build datasets, pretrain the base MLP on the source task, freeze it.
 
     ``layer_sizes`` lists the layer widths, so ``len(layer_sizes) - 1`` weight
-    matrices are created. Labels come from a fixed random teacher network;
-    the source task uses raw inputs, the target task rotates the inputs by a
-    random orthogonal matrix while keeping the unrotated labels. Everything
-    derives from ``seed``; rebuilding with the same arguments is bit-exact.
+    matrices are created. Every width is at least 1, ``n_classes`` lies in
+    [2, the output width] and ``n_train`` and ``n_test`` are at least 1;
+    anything else raises ValueError naming the argument. Labels come from a
+    fixed random teacher network; the source task uses raw inputs, the
+    target task rotates the inputs by a random orthogonal matrix while
+    keeping the unrotated labels. Everything derives from ``seed``;
+    rebuilding with the same arguments is bit-exact.
     """
     if len(layer_sizes) < 2:
-        raise ValueError("need at least one weight matrix")
-    if n_classes > layer_sizes[-1]:
-        raise ValueError("n_classes cannot exceed the output width")
+        raise ValueError("layer_sizes needs at least two widths (one weight matrix)")
+    if min(layer_sizes) < 1:
+        raise ValueError(f"layer_sizes must be widths of at least 1, got {list(layer_sizes)}")
+    if not 2 <= n_classes <= layer_sizes[-1]:
+        raise ValueError(f"n_classes must be between 2 and the output width "
+                         f"{layer_sizes[-1]}, got {n_classes}")
+    for name, n in (("n_train", n_train), ("n_test", n_test)):
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1, got {n}")
     shapes = [(o, i) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])]
     if attach_layers is None:
         attach_layers = tuple(range(len(shapes)))

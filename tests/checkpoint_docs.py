@@ -2,7 +2,9 @@
 
 Each malformed case names a family, a path into its document and what to put
 there: a function of the old value, a replacement value, or DROP to delete
-the key. An empty path replaces the whole document.
+the key. An empty path replaces the whole document. ``locations`` and
+``kind_of`` let a generator make such cases itself: any location, given a
+value of another JSON kind or, in an object, dropped.
 """
 
 import copy
@@ -81,22 +83,60 @@ MALFORMED = {
     "hira-no-w0": ("hira", ["w0"], DROP),
     "hira-numeric-checksum": ("hira", ["w0", "checksum"], 5),
     "hira-nan-b": ("hira", ["b", 1, 3], NAN),
+    "tera-boolean-in-d-vector": ("tera", ["d_vectors", 0, 1], True),
+    "lora-boolean-in-a": ("lora", ["a", 2, 0], False),
 }
 
+# The kinds of JSON value; integers and other numbers are one kind, as in JSON.
+JSON_KINDS = ("null", "boolean", "number", "string", "array", "object")
 
-def malformed_doc(case):
-    family, path, change = MALFORMED[case]
-    doc = copy.deepcopy(valid_doc(family))
+
+def kind_of(value):
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return "array" if isinstance(value, list) else "object"
+
+
+def locations(doc):
+    """Every path into ``doc``, the empty path (the document) first."""
+    yield []
+    if isinstance(doc, dict):
+        children = doc.items()
+    else:
+        children = enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        for path in locations(child):
+            yield [key, *path]
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutated(doc, path, change):
+    """A copy of ``doc`` with ``change`` made at ``path``."""
+    doc = copy.deepcopy(doc)
     if not path:
-        return change(doc)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
+        return change(doc) if callable(change) else change
+    parent = value_at(doc, path[:-1])
     if change is DROP:
         del parent[path[-1]]
     else:
         parent[path[-1]] = change(parent[path[-1]]) if callable(change) else change
     return doc
+
+
+def malformed_doc(case):
+    family, path, change = MALFORMED[case]
+    return mutated(valid_doc(family), path, change)
 
 
 def write(doc, path):

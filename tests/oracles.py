@@ -8,7 +8,9 @@ full, where ``fit_recovery`` works in the core's coordinates. The
 expressivity verifier's oracles are its sequential forms: alternating least
 squares one start after another and the power method one restart after
 another, where the library stacks them. The optimizer's oracle steps each
-trainable array on its own, where the library steps one flat buffer.
+trainable array on its own, where the library steps one flat buffer. The
+MLP's oracle forms every output of the last layer and the gradient with
+respect to the input, where the library forms only what the loss reads.
 """
 
 import itertools
@@ -246,6 +248,42 @@ def recovery_loss(adapter, task):
 def recovery_gradients(adapter, task):
     """Gradients of ``recovery_loss``: the residual as the delta's upstream."""
     return delta_gradient(adapter, materialize_delta(adapter) - task.target)
+
+
+def mlp_forward(weights, x):
+    """The input followed by every layer's output: tanh after each hidden
+    layer, none after the last."""
+    activations = [x]
+    for layer, w in enumerate(weights):
+        h = activations[-1] @ w.T
+        if layer < len(weights) - 1:
+            np.tanh(h, out=h)
+        activations.append(h)
+    return activations
+
+
+def mlp_loss_and_grads(weights, x, y, n_classes):
+    """Cross-entropy on the first ``n_classes`` outputs; gradients per weight."""
+    activations = mlp_forward(weights, x)
+    h = activations[-1]
+    scores = h[:, :n_classes]
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    n = x.shape[0]
+    loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
+    dscores = probs.copy()
+    dscores[np.arange(n), y] -= 1.0
+    dscores /= n
+    dh = np.zeros_like(h)
+    dh[:, :n_classes] = dscores
+    grads = [None] * len(weights)
+    for layer in range(len(weights) - 1, -1, -1):
+        out = activations[layer + 1]
+        dz = dh if layer == len(weights) - 1 else dh * (1.0 - out * out)
+        grads[layer] = dz.T @ activations[layer]
+        dh = dz @ weights[layer]
+    return loss, grads
 
 
 def integer_tensor(rng, shape, low=-9, high=10):

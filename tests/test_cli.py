@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from tera import training
 from tera.adapters import FrozenFactorStore, init_lora, load_checkpoint, save_checkpoint
 from tera.cli import (
     CliError,
@@ -344,6 +345,52 @@ class TestMlpFit:
         report = json.loads((out / "report.json").read_text())
         assert "target_test_accuracy" in report["metrics"]
 
+    @pytest.mark.parametrize("flag, name", [
+        ("--n-classes=-3", "n_classes"),
+        ("--n-classes=0", "n_classes"),
+        ("--n-classes=1", "n_classes"),
+        ("--n-classes=17", "n_classes"),
+        ("--n-train=0", "n_train"),
+        ("--n-test=0", "n_test"),
+        ("--layer-sizes=16,-2", "layer_sizes"),
+    ])
+    def test_sizes_that_make_no_task_exit_2(self, tmp_path, capsys, flag, name):
+        out = tmp_path / "mlp"
+        rc = main(["fit", "--task", "mlp", *SMALL_MLP, flag, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert not (out / "report.json").exists()
+
+    def test_pretraining_divergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "mlp"
+        non_finite_mlp_loss(monkeypatch)
+        rc = main(["fit", "--task", "mlp", *SMALL_MLP, "--out", str(out)])
+        assert rc == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("error: diverged at step 0")
+        assert "Traceback" not in err
+        assert (out / "resolved_config.json").exists()
+        assert not (out / "report.json").exists()
+        assert not list(out.glob("checkpoint_layer*.json"))
+
+
+# a small MLP fit: 16-wide layers, 4 classes, a few steps
+SMALL_MLP = ["--family", "lora", "--rank", "2", "--layer-sizes", "16,16,16",
+             "--n-classes", "4", "--n-train", "32", "--n-test", "16",
+             "--pretrain-steps", "5", "--max-steps", "3"]
+
+
+def non_finite_mlp_loss(monkeypatch):
+    """Make every MLP loss NaN, as a diverging training would see it."""
+    original = training._mlp_loss_and_grads
+
+    def diverging(*args):
+        _, grads = original(*args)
+        return float("nan"), grads
+
+    monkeypatch.setattr(training, "_mlp_loss_and_grads", diverging)
+
 
 class TestRankReport:
     def make_checkpoints(self, tmp_path):
@@ -423,6 +470,22 @@ class TestRankReport:
         assert rc == EXIT_OK
         row = (ranks_out / "ranks.csv").read_text().strip().split("\n")[1]
         assert row.split(",")[1] == "hira"
+
+    def test_hira_base_weight_whose_pretraining_diverges_exits_2(
+            self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "mlp"
+        rc = main(["fit", "--task", "mlp", *SMALL_MLP, "--family", "hira",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        non_finite_mlp_loss(monkeypatch)
+        checkpoint = str(out / "checkpoint_layer0.json")
+        for argv in (["rank-report", checkpoint, "--out", str(tmp_path / "ranks")],
+                     ["checkpoint", "inspect", checkpoint]):
+            capsys.readouterr()
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot rebuild the base weight")
+            assert "diverged" in err
 
 
 class TestVerify:

@@ -4,11 +4,18 @@ Small random tensorization schemes (reduced ranks and identity factors
 included), VeRA shapes with ranks below and above both sides, and the two
 low-rank families, each checked against the brute-force oracles in
 ``oracles``; the recovery objective in rank space against the materialized
-one; and the scheme and tensor reshapes against their inverses. Runs are
-derandomized with a fixed example budget, so the suite stays deterministic.
+one; the scheme and tensor reshapes against their inverses; and the CLI
+against checkpoint and config documents holding a value of a wrong JSON kind
+somewhere, which must exit 2 with an ``error:`` line. Runs are derandomized
+with a fixed example budget, so the suite stays deterministic.
 """
 
+import contextlib
+import io
+import json
+import tempfile
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -26,10 +33,11 @@ from tera.adapters import (
     materialize_delta,
 )
 from tera import training
-from tera.cli import format_scheme, parse_scheme
+from tera.cli import EXIT_CONFIG, _command_actions, build_parser, format_scheme, main, parse_scheme
 from tera.tensor_ops import TensorizationScheme, fold, unfold
 from tera.training import delta_gradient, finite_difference_check, gaussian_recovery_task
 
+import checkpoint_docs
 from oracles import (
     explicit_factors,
     recovery_gradients,
@@ -218,3 +226,105 @@ def test_fold_and_unfold_are_inverse(scheme, seed):
     assert tensor.shape == scheme.mode_sizes
     np.testing.assert_array_equal(unfold(tensor, scheme.split), matrix)
     np.testing.assert_array_equal(fold(unfold(tensor, scheme.split), scheme), tensor)
+
+
+def json_values(kind):
+    """Small JSON values of one kind, with scalars nested one level deep."""
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+    return {
+        "null": st.none(),
+        "boolean": st.booleans(),
+        "number": st.integers() | st.floats(),
+        "string": st.text(max_size=8),
+        "array": st.lists(scalars, max_size=3),
+        "object": st.dictionaries(st.text(max_size=5), scalars, max_size=3),
+    }[kind]
+
+
+def _cli(argv):
+    """Exit code and standard error of ``tera`` run in-process."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@PROPERTY
+@given(st.data())
+def test_checkpoint_with_a_wrong_kind_anywhere_exits_2(data):
+    # any field, element or the document itself takes a value of another
+    # JSON kind, or an object's key is dropped
+    doc = checkpoint_docs.valid_doc(data.draw(st.sampled_from(checkpoint_docs.FAMILIES)))
+    path = data.draw(st.sampled_from(list(checkpoint_docs.locations(doc))))
+    in_object = bool(path) and isinstance(checkpoint_docs.value_at(doc, path[:-1]), dict)
+    if in_object and data.draw(st.booleans()):
+        change = checkpoint_docs.DROP
+    else:
+        old = checkpoint_docs.kind_of(checkpoint_docs.value_at(doc, path))
+        kind = data.draw(st.sampled_from([k for k in checkpoint_docs.JSON_KINDS if k != old]))
+        change = data.draw(json_values(kind))
+    bad = checkpoint_docs.mutated(doc, path, change)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = checkpoint_docs.write(bad, Path(tmp) / "ck.json")
+        code, err = _cli(["checkpoint", "inspect", str(path)])
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ")
+
+
+# the config is refused before anything runs, so the checkpoint need not exist
+CONFIG_COMMANDS = (["param-count"], ["fit"], ["rank-report"], ["verify"], ["ablate"],
+                   ["checkpoint", "inspect", "ck.json"])
+
+
+def _accepted_kinds(action):
+    """The JSON kinds a config value of ``action``'s flag may take (a value
+    of such a kind can still be refused, like 2.5 for an integer flag)."""
+    kinds = {"null"} if action.default is None else set()
+    if action.nargs == 0:
+        return kinds | {"boolean"}
+    if action.nargs in ("*", "+"):
+        return kinds | {"array"}
+    if action.type in (int, float):
+        return kinds | {"number", "string"}
+    return kinds | {"string"}
+
+
+def _config_cases():
+    """(command line, key, wrong kind) for every flag of every command and
+    every JSON kind its flag never takes."""
+    cases = []
+    for argv in CONFIG_COMMANDS:
+        parser = build_parser()
+        actions = _command_actions(parser, vars(parser.parse_args(argv)))
+        for key in sorted(set(actions) - {"help", "config", "command", "checkpoint_command"}):
+            accepted = _accepted_kinds(actions[key])
+            cases += [(argv, key, kind) for kind in checkpoint_docs.JSON_KINDS
+                      if kind not in accepted]
+    return cases
+
+
+CONFIG_CASES = _config_cases()
+
+
+def _config_exits_2(argv, key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code, err = _cli([*argv, "--config", str(config)])
+    assert code == EXIT_CONFIG, (argv, key, value)
+    assert err.startswith("error: ") and repr(key) in err
+
+
+@PROPERTY
+@given(st.data())
+def test_config_value_of_a_wrong_kind_exits_2(data):
+    argv, key, kind = data.draw(st.sampled_from(CONFIG_CASES))
+    _config_exits_2(argv, key, data.draw(json_values(kind)))
+
+
+def test_config_value_of_every_wrong_kind_exits_2():
+    # the draws above cannot reach every case, so each gets one plain value
+    plain = {"null": None, "boolean": True, "number": 2.5, "string": "x",
+             "array": [1], "object": {}}
+    for argv, key, kind in CONFIG_CASES:
+        _config_exits_2(argv, key, plain[kind])

@@ -40,6 +40,8 @@ from oracles import (
     OptimizerByArrays,
     als_sweeps_by_starts,
     least_squares_step,
+    mlp_forward,
+    mlp_loss_and_grads,
     recovery_gradients,
     recovery_loss,
 )
@@ -762,6 +764,73 @@ class TestMlpAdapt:
         acc = mlp_accuracy(weights, task.target_test, task.n_classes)
         base = mlp_accuracy(task.base_weights, task.target_test, task.n_classes)
         assert acc > base
+
+
+def random_mlp(sizes, n, n_classes, seed=0):
+    """Weights drawn like the task's initialization, standard-normal inputs
+    and uniform labels."""
+    rng = np.random.default_rng(seed)
+    weights = [rng.standard_normal((o, i)) / np.sqrt(i) for i, o in zip(sizes[:-1], sizes[1:])]
+    x = rng.standard_normal((n, sizes[0]))
+    return weights, x, rng.integers(0, n_classes, n)
+
+
+class TestMlpBackprop:
+    """The trimmed pass (the last layer's ``n_classes`` rows, no input
+    gradient) against the full-width oracle."""
+
+    @pytest.mark.parametrize("sizes, n, n_classes", [
+        ((64, 64, 64, 64), 256, 8),  # the benchmark's MLP fits
+        ((16, 16, 16, 16), 256, 4),  # tiny_task
+    ])
+    def test_bitwise_the_full_width_oracle(self, sizes, n, n_classes):
+        for seed in range(3):
+            weights, x, y = random_mlp(sizes, n, n_classes, seed)
+            loss, grads = training._mlp_loss_and_grads(weights, x, y, n_classes)
+            want_loss, want = mlp_loss_and_grads(weights, x, y, n_classes)
+            assert loss == want_loss
+            for got, expected in zip(grads, want, strict=True):
+                assert_array_equal(got, expected)
+            assert_array_equal(training.mlp_predict(weights, x, n_classes),
+                               np.argmax(mlp_forward(weights, x)[-1][:, :n_classes], axis=1))
+
+    @pytest.mark.parametrize("sizes, n, n_classes", [
+        ((64, 64, 64, 64), 512, 8),  # criteria 8 and 9
+        ((32, 32, 32), 100, 5),
+    ])
+    def test_within_rounding_of_the_full_width_oracle(self, sizes, n, n_classes):
+        # BLAS blocks the narrower products differently, so only the last
+        # bits may differ
+        for seed in range(3):
+            weights, x, y = random_mlp(sizes, n, n_classes, seed)
+            loss, grads = training._mlp_loss_and_grads(weights, x, y, n_classes)
+            want_loss, want = mlp_loss_and_grads(weights, x, y, n_classes)
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            for got, expected in zip(grads, want, strict=True):
+                assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_last_layer_rows_past_n_classes_are_exactly_zero(self):
+        weights, x, y = random_mlp((16, 12, 10), 40, 3)
+        _, grads = training._mlp_loss_and_grads(weights, x, y, 3)
+        assert grads[-1].shape == (10, 12)
+        assert np.all(grads[-1][3:] == 0)
+        assert np.all(grads[-1][:3] != 0)
+
+    def test_weight_gradients_match_central_differences(self):
+        weights, x, y = random_mlp((5, 6, 4, 6), 20, 3, seed=4)
+        _, grads = training._mlp_loss_and_grads(weights, x, y, 3)
+        h = 1e-6
+        for w, grad in zip(weights, grads, strict=True):
+            numeric = np.zeros_like(w)
+            for index in np.ndindex(w.shape):
+                orig = w[index]
+                w[index] = orig + h
+                plus, _ = training._mlp_loss_and_grads(weights, x, y, 3)
+                w[index] = orig - h
+                minus, _ = training._mlp_loss_and_grads(weights, x, y, 3)
+                w[index] = orig
+                numeric[index] = (plus - minus) / (2 * h)
+            assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
 
 
 class TestReportIo:
