@@ -677,17 +677,6 @@ def init_hira(j1, j2, rank, w0=None, seed=0, w0_seed=None):
     )
 
 
-def tera_gradient(adapter: TeraAdapter, upstream: np.ndarray):
-    """Gradients of <upstream, delta> with respect to each d vector of a
-    frozen-network adapter (its ``grads``), once the shapes agree."""
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != adapter.shape:
-        raise ValueError(
-            f"upstream gradient shape {upstream.shape} != delta shape {adapter.shape}"
-        )
-    return adapter.grads(upstream)
-
-
 def materialize_delta(adapter, path="mode"):
     """Dense delta matrix of any adapter.
 
@@ -729,10 +718,12 @@ def trainable_param_count(adapter) -> int:
 
 def lora_param_count(j1, j2, rank) -> int:
     """Trainable count of the plain and the Hadamard-masked low-rank families."""
+    _check_rank(rank)
     return rank * (j1 + j2)
 
 
 def vera_param_count(j1, rank) -> int:
+    _check_rank(rank)
     return j1 + rank
 
 

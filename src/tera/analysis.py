@@ -39,7 +39,7 @@ from .tensor_ops import (
     tensor_spectral_norm,
     unfold,
 )
-from .training import als_approx_error
+from .training import als_approx_error, planted_recovery_task
 
 REPORT_FORMAT_VERSION = 1
 
@@ -346,6 +346,56 @@ def _verify_expressivity_escalated(w_star, adapter, sweeps=50, seed=0):
         if report.verdict == "holds":
             break
     return report
+
+
+@dataclass
+class ExpressivitySuite:
+    """The expressivity bound over drawn instances: the report of each
+    instance kept, and how many draws were rejected."""
+
+    reports: list
+    rejected: int
+    planted: bool
+
+    def to_json_dict(self):
+        counts = {verdict: sum(r.verdict == verdict for r in self.reports)
+                  for verdict in ("holds", "inconclusive", "violated")}
+        return {"format_version": REPORT_FORMAT_VERSION, "bound_id": EXPRESSIVITY_BOUND,
+                "instances": len(self.reports), **counts, "rejected": self.rejected,
+                "planted": self.planted, "reports": [r.to_json_dict() for r in self.reports]}
+
+
+def verify_expressivity_instances(scheme: TensorizationScheme, instances: int,
+                                  planted=False, sweeps=50, seed=0) -> ExpressivitySuite:
+    """Check the expressivity bound on ``instances`` random networks of
+    ``scheme``, each drawn from ``seed``'s stream with its own master seed.
+
+    The target is Gaussian, or with ``planted`` one the network can express
+    exactly. A draw the verifier rejects (``InstanceRejected``) is redrawn,
+    and more than ``10 * instances`` draws raise ValueError; so does
+    ``instances`` below 1. An instance that does not hold is retried up the
+    escalation ladder of more ALS starts (``_verify_expressivity_escalated``).
+    """
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
+    rng = np.random.default_rng(seed)
+    reports, rejected = [], 0
+    while len(reports) < instances:
+        if len(reports) + rejected >= 10 * instances:
+            raise ValueError("too many rejected instances; check the scheme")
+        master_seed = int(rng.integers(2**31))
+        store = FrozenFactorStore(master_seed)
+        adapter = init_tera(scheme.rows, scheme.cols, scheme, store)
+        if planted:
+            w_star = planted_recovery_task(scheme, store, seed=int(rng.integers(2**31))).target
+        else:
+            w_star = rng.standard_normal((scheme.rows, scheme.cols))
+        try:
+            reports.append(_verify_expressivity_escalated(
+                w_star, adapter, sweeps=sweeps, seed=master_seed))
+        except InstanceRejected:
+            rejected += 1
+    return ExpressivitySuite(reports, rejected, bool(planted))
 
 
 def structural_max_rank(adapter) -> int:

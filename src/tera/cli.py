@@ -1,11 +1,19 @@
 """Command-line front end: parameter counting, fitting, rank reports,
 bound verification, scheme/init ablations, and checkpoint inspection.
 
+Every command checks its arguments, makes one library call per result and
+writes what it returns; this module only maps errors to exit codes. The
+work lives in the library: ``training.fit_recovery``, ``fit_mlp_adapt``,
+``ablate_schemes`` and ``load_adapter`` (checkpoints with their frozen parts
+regenerated), and ``analysis.verify_rank_bound``, ``verify_param_bound``,
+``verify_expressivity_instances`` and ``rank_report``.
+
 Conventions shared by every subcommand:
 
 * scheme syntax is `a,b|c,d` (mode sizes left/right of the split), with
   `n^m` shorthand for m equal modes and `J1|c,d` for one-sided
-  tensorization; a bare group like `2^24` needs an explicit --split;
+  tensorization; a bare group like `2^24` needs an explicit --split. It is
+  parsed and written by ``tensor_ops.parse_scheme`` and ``format_scheme``;
 * a JSON config file may supply any flag of its command (keys use
   underscores), with explicit command-line flags taking precedence; a key
   that names no flag of the command is refused;
@@ -26,13 +34,9 @@ import numpy as np
 
 from .adapters import (
     CHECKPOINT_FORMAT_VERSION,
-    CheckpointError,
     FrozenFactorStore,
-    init_tera,
-    load_checkpoint,
     lora_param_count,
     save_checkpoint,
-    synthetic_base_weight,
     trainable_param_count,
     vera_full_rank_param_count,
     vera_param_count,
@@ -40,21 +44,22 @@ from .adapters import (
 )
 from .analysis import (
     RANK_COLUMNS,
-    InstanceRejected,
-    _verify_expressivity_escalated,
     rank_report,
+    verify_expressivity_instances,
     verify_param_bound,
     verify_rank_bound,
 )
-from .tensor_ops import TensorizationScheme
+from .tensor_ops import TensorizationScheme, format_scheme, parse_scheme, parse_shape
 from .training import (
     LOSS_COLUMNS,
     DivergenceError,
     OptimizerConfig,
+    ablate_schemes,
     build_adapter,
     fit_mlp_adapt,
     fit_recovery,
     gaussian_recovery_task,
+    load_adapter,
     make_mlp_adapt_task,
     planted_recovery_task,
     write_csv,
@@ -71,81 +76,18 @@ CONFIG_FORMAT_VERSION = 1
 
 
 class CliError(Exception):
-    """Carries the exit code alongside the message."""
+    """Carries an exit code other than 2 alongside the message; main maps
+    ValueError (a bad argument or configuration) and OSError to 2."""
 
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
 
 
-def parse_shape(text):
-    try:
-        j1, j2 = (int(p) for p in text.lower().split("x"))
-    except ValueError:
-        raise CliError(EXIT_CONFIG, f"bad shape {text!r}; expected like 64x64")
-    if j1 < 2 or j2 < 2:
-        raise CliError(EXIT_CONFIG, f"shape dimensions must be >= 2, got {text!r}")
-    return j1, j2
-
-
-def _expand_group(group, spec):
-    # "64,2^3,8" -> [64, 2, 2, 2, 8]
-    sizes = []
-    for token in group.split(","):
-        token = token.strip()
-        if not token:
-            raise CliError(EXIT_CONFIG, f"empty mode token in scheme {spec!r}")
-        if "^" in token:
-            base_s, _, count_s = token.partition("^")
-            try:
-                base, count = int(base_s), int(count_s)
-            except ValueError:
-                raise CliError(EXIT_CONFIG, f"bad mode token {token!r} in {spec!r}")
-            if count < 1:
-                raise CliError(EXIT_CONFIG, f"bad repeat count in {token!r}")
-            sizes.extend([base] * count)
-        else:
-            try:
-                sizes.append(int(token))
-            except ValueError:
-                raise CliError(EXIT_CONFIG, f"bad mode token {token!r} in {spec!r}")
-    return sizes
-
-
-def parse_scheme(spec, split=None):
-    """Parse the scheme mini-language into a full-rank tensorization."""
-    if "|" in spec:
-        left_s, _, right_s = spec.partition("|")
-        left = _expand_group(left_s, spec)
-        right = _expand_group(right_s, spec)
-        mode_sizes = left + right
-        split_at = len(left)
-    else:
-        mode_sizes = _expand_group(spec, spec)
-        if split is None:
-            raise CliError(
-                EXIT_CONFIG, f"scheme {spec!r} has no '|'; pass --split as well"
-            )
-        split_at = split
-    try:
-        return TensorizationScheme(tuple(mode_sizes), split=split_at)
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, f"invalid scheme {spec!r}: {exc}")
-
-
-def format_scheme(scheme: TensorizationScheme) -> str:
-    left = ",".join(str(m) for m in scheme.mode_sizes[: scheme.split])
-    right = ",".join(str(m) for m in scheme.mode_sizes[scheme.split :])
-    return f"{left}|{right}"
-
-
 def _require_match(scheme, j1, j2):
     if not scheme.matches(j1, j2):
-        raise CliError(
-            EXIT_CONFIG,
-            f"scheme {format_scheme(scheme)} tensorizes "
-            f"{scheme.rows}x{scheme.cols}, not {j1}x{j2}",
-        )
+        raise ValueError(f"scheme {format_scheme(scheme)} tensorizes "
+                         f"{scheme.rows}x{scheme.cols}, not {j1}x{j2}")
 
 
 def _require(args, *names):
@@ -154,7 +96,7 @@ def _require(args, *names):
     for name in names:
         if getattr(args, name, None) in (None, []):
             flag = "--" + name.replace("_", "-")
-            raise CliError(EXIT_CONFIG, f"{flag} is required (flag or config file)")
+            raise ValueError(f"{flag} is required (flag or config file)")
 
 
 def _out_dir(args):
@@ -228,10 +170,8 @@ def _resolve_vera_budget(args, j1):
     """--match-budget-of tera:SCHEME sets the rank to the matching budget."""
     prefix, _, spec = args.match_budget_of.partition(":")
     if prefix != "tera" or not spec:
-        raise CliError(
-            EXIT_CONFIG,
-            f"bad --match-budget-of {args.match_budget_of!r}; expected tera:SCHEME",
-        )
+        raise ValueError(
+            f"bad --match-budget-of {args.match_budget_of!r}; expected tera:SCHEME")
     budget = parse_scheme(spec, args.split).num_trainable()
     return vera_rank_for_budget(j1, budget)
 
@@ -243,11 +183,8 @@ def _diverged(exc, args, out):
     write_resolved_config(out, "fit", args)
     # a diverged pretraining has no fit to report
     written = "resolved config" if exc.report is None else "partial report"
-    return CliError(
-        EXIT_DIVERGED,
-        f"diverged at step {exc.step} (loss {exc.loss:.3e}); "
-        f"{written} written to {out}",
-    )
+    return CliError(EXIT_DIVERGED, f"diverged at step {exc.step} (loss {exc.loss:.3e}); "
+                                   f"{written} written to {out}")
 
 
 def _fit_recovery(args, out):
@@ -262,25 +199,17 @@ def _fit_recovery(args, out):
         try:
             scheme = TensorizationScheme.one_sided(j1, j2, 4)
         except ValueError as exc:
-            raise CliError(EXIT_CONFIG, f"no default scheme for {j1}x{j2}: {exc}")
+            raise ValueError(f"no default scheme for {j1}x{j2}: {exc}")
     store = FrozenFactorStore(args.master_seed)
     rank = args.rank
     if args.match_budget_of:
         if args.family != "vera":
-            raise CliError(EXIT_CONFIG, "--match-budget-of only applies to vera")
+            raise ValueError("--match-budget-of only applies to vera")
         rank = _resolve_vera_budget(args, j1)
-
-    w0 = None
-    if args.family == "hira":
-        w0 = synthetic_base_weight(j1, j2, args.w0_seed)
     adapter = build_adapter(
-        args.family, j1, j2,
-        store=store, scheme=scheme, rank=rank, seed=args.adapter_seed, w0=w0,
+        args.family, j1, j2, store=store, scheme=scheme, rank=rank,
+        seed=args.adapter_seed, w0_seed=args.w0_seed,
     )
-    if args.family == "hira":
-        # regenerable from the seed, so record that instead of the values
-        adapter.w0_provenance = {"kind": "synthetic", "seed": args.w0_seed}
-
     if args.target == "planted":
         task = planted_recovery_task(scheme, store, seed=args.target_seed)
     else:
@@ -295,33 +224,25 @@ def _fit_recovery(args, out):
     write_resolved_config(out, "fit", args)
     print(f"family={args.family} params={report.trainable_param_count}")
     print(f"final_loss={report.final_loss!r}")
-    print(
-        "final_relative_residual="
-        f"{report.metrics['final_relative_residual']!r}"
-    )
+    print(f"final_relative_residual={report.metrics['final_relative_residual']!r}")
     return EXIT_OK
-
-
-def _mlp_task_regen_kwargs(args):
-    return {
-        "layer_sizes": [int(s) for s in args.layer_sizes.split(",")],
-        "n_classes": args.n_classes,
-        "n_train": args.n_train,
-        "n_test": args.n_test,
-        "seed": args.task_seed,
-        "pretrain_steps": args.pretrain_steps,
-    }
 
 
 def _fit_mlp(args, out):
     cfg = _optimizer_config(args)
-    kwargs = _mlp_task_regen_kwargs(args)
-    kwargs["layer_sizes"] = tuple(kwargs["layer_sizes"])
+    try:
+        layer_sizes = tuple(int(s) for s in args.layer_sizes.split(","))
+    except ValueError:
+        raise ValueError(f"--layer-sizes must be integers separated by commas, "
+                         f"got {args.layer_sizes!r}") from None
     store = FrozenFactorStore(args.master_seed)
     scheme = parse_scheme(args.scheme, args.split) if args.scheme else None
     try:
         # pretraining the base network can diverge too
-        task = make_mlp_adapt_task(**kwargs)
+        task = make_mlp_adapt_task(
+            layer_sizes, args.n_classes, args.n_train, args.n_test, seed=args.task_seed,
+            pretrain_steps=args.pretrain_steps,
+        )
         report, adapters = fit_mlp_adapt(
             task, args.family, cfg,
             store=store, scheme=scheme, rank=args.rank,
@@ -331,14 +252,6 @@ def _fit_mlp(args, out):
         raise _diverged(exc, args, out)
     _write_fit_report(report, out)
     for layer, adapter in adapters.items():
-        if args.family == "hira":
-            # make the checkpoint self-describing: the base weight can be
-            # regenerated by rebuilding the task
-            adapter.w0_provenance = {
-                "kind": "mlp_layer",
-                "layer": layer,
-                "task": _mlp_task_regen_kwargs(args),
-            }
         save_checkpoint(adapter, out / f"checkpoint_layer{layer}.json")
     write_resolved_config(out, "fit", args)
     print(f"family={args.family} params={report.trainable_param_count}")
@@ -349,8 +262,6 @@ def _fit_mlp(args, out):
 
 def cmd_fit(args):
     _require(args, "family", "out")
-    if args.task not in ("recovery", "mlp"):
-        raise CliError(EXIT_CONFIG, f"unknown task {args.task!r}")
     out = _out_dir(args)
     if args.task == "mlp":
         return _fit_mlp(args, out)
@@ -360,35 +271,10 @@ def cmd_fit(args):
 # ---------------------------------------------------------------- rank-report
 
 
-def _load_any_checkpoint(path, task_cache):
-    """Load a checkpoint of any family, regenerating frozen parts from the
-    recorded master seed or MLP provenance; ``load_checkpoint`` validates."""
+def _load(path, tasks=None):
     if not path.exists():
         raise CliError(EXIT_MISSING, f"checkpoint not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CliError(EXIT_CONFIG, f"corrupt checkpoint {path}: {exc}")
-    doc = doc if isinstance(doc, dict) else {}
-    seed = doc.get("master_seed")
-    store = FrozenFactorStore(seed) if type(seed) is int and seed >= 0 else None
-    w0_meta = doc.get("w0")
-    provenance = w0_meta.get("provenance") if isinstance(w0_meta, dict) else None
-    base_weight = None
-    if isinstance(provenance, dict) and provenance.get("kind") == "mlp_layer":
-        try:
-            key = json.dumps(provenance["task"], sort_keys=True)
-            if key not in task_cache:
-                kwargs = dict(provenance["task"])
-                kwargs["layer_sizes"] = tuple(kwargs["layer_sizes"])
-                task_cache[key] = make_mlp_adapt_task(**kwargs)
-            base_weight = task_cache[key].base_weights[provenance["layer"]]
-        except (KeyError, TypeError, ValueError, IndexError, DivergenceError) as exc:
-            raise CliError(EXIT_CONFIG, f"cannot rebuild the base weight of {path}: {exc!r}")
-    try:
-        return load_checkpoint(path, store=store, base_weight=base_weight)
-    except CheckpointError as exc:
-        raise CliError(EXIT_CONFIG, f"cannot load {path}: {exc}")
+    return load_adapter(path, tasks)
 
 
 def cmd_rank_report(args):
@@ -396,32 +282,21 @@ def cmd_rank_report(args):
     out = _out_dir(args)
     labels = args.labels.split(",") if args.labels else None
     if labels and len(labels) != len(args.checkpoints):
-        raise CliError(
-            EXIT_CONFIG,
-            f"{len(labels)} labels for {len(args.checkpoints)} checkpoints",
-        )
+        raise ValueError(f"{len(labels)} labels for {len(args.checkpoints)} checkpoints")
     entries = []
-    task_cache = {}
+    tasks = {}  # hira checkpoints of one MLP share its rebuilt task
     for i, raw in enumerate(args.checkpoints):
         path = Path(raw)
-        adapter = _load_any_checkpoint(path, task_cache)
+        adapter = _load(path, tasks)
         layer = labels[i] if labels else path.stem
         entries.append((layer, adapter.variant, adapter))
     report = rank_report(entries, rel_tol=args.rel_tol)
-    write_csv(
-        out / "ranks.csv",
-        RANK_COLUMNS,
-        [[row[c] for c in RANK_COLUMNS] for row in report.rows],
-    )
+    write_csv(out / "ranks.csv", RANK_COLUMNS,
+              [[row[c] for c in RANK_COLUMNS] for row in report.rows])
     write_json(out / "ranks.json", report.to_json_dict())
     write_resolved_config(out, "rank-report", args)
-    _print_table(
-        [
-            [r["layer"], r["family"], r["rank"], r["max_rank"]]
-            for r in report.rows
-        ],
-        ["layer", "family", "rank", "max_rank"],
-    )
+    _print_table([[r["layer"], r["family"], r["rank"], r["max_rank"]] for r in report.rows],
+                 ["layer", "family", "rank", "max_rank"])
     return EXIT_OK
 
 
@@ -458,67 +333,20 @@ def _verify_expressivity(args, out):
     scheme = parse_scheme(args.scheme, args.split) if args.scheme else (
         TensorizationScheme((2, 4, 2, 4), split=2)
     )
-    j1, j2 = scheme.rows, scheme.cols
-    rng = np.random.default_rng(args.seed)
-    holds = inconclusive = rejected = 0
-    reports = []
-    attempts = 0
-    while len(reports) < args.instances:
-        attempts += 1
-        if attempts > 10 * args.instances:
-            raise CliError(
-                EXIT_CONFIG, "too many rejected instances; check the scheme"
-            )
-        master_seed = int(rng.integers(2**31))
-        store = FrozenFactorStore(master_seed)
-        adapter = init_tera(j1, j2, scheme, store)
-        if args.planted:
-            w_star = planted_recovery_task(
-                scheme, store, seed=int(rng.integers(2**31))
-            ).target
-        else:
-            w_star = rng.standard_normal((j1, j2))
-        try:
-            report = _verify_expressivity_escalated(
-                w_star, adapter, sweeps=args.sweeps, seed=master_seed
-            )
-        except InstanceRejected:
-            rejected += 1
-            continue
-        reports.append(report)
-        if report.verdict == "holds":
-            holds += 1
-        elif report.verdict == "inconclusive":
-            inconclusive += 1
-    summary = {
-        "format_version": CONFIG_FORMAT_VERSION,
-        "bound_id": "expressivity_bound",
-        "instances": args.instances,
-        "holds": holds,
-        "inconclusive": inconclusive,
-        "violated": sum(1 for r in reports if r.verdict == "violated"),
-        "rejected": rejected,
-        "planted": bool(args.planted),
-        "reports": [r.to_json_dict() for r in reports],
-    }
+    suite = verify_expressivity_instances(scheme, args.instances, planted=args.planted,
+                                          sweeps=args.sweeps, seed=args.seed)
+    summary = suite.to_json_dict()
     write_json(out / "expressivity_bound.json", summary)
-    write_csv(
-        out / "expressivity_instances.csv",
-        ["instance", "verdict", "lhs", "rhs", "slack"],
-        [(i, r.verdict, r.lhs, r.rhs, r.slack) for i, r in enumerate(reports)],
-    )
-    print(
-        f"expressivity_bound: holds {holds}/{args.instances}, "
-        f"inconclusive {inconclusive}, rejected {rejected}"
-    )
+    write_csv(out / "expressivity_instances.csv",
+              ["instance", "verdict", "lhs", "rhs", "slack"],
+              [(i, r.verdict, r.lhs, r.rhs, r.slack) for i, r in enumerate(suite.reports)])
+    print(f"expressivity_bound: holds {summary['holds']}/{summary['instances']}, "
+          f"inconclusive {summary['inconclusive']}, rejected {summary['rejected']}")
     return "violated" if summary["violated"] else "holds"
 
 
 def cmd_verify(args):
     _require(args, "bound", "out")
-    if args.bound not in ("rank", "params", "expressivity", "all"):
-        # config-file values bypass argparse choices
-        raise CliError(EXIT_CONFIG, f"unknown bound {args.bound!r}")
     out = _out_dir(args)
     verdicts = []
     if args.bound in ("rank", "all"):
@@ -541,49 +369,29 @@ def cmd_ablate(args):
     out = _out_dir(args)
     j1, j2 = parse_shape(args.shape)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
+    swept = [f for f in families if f in ("tera", "tera_iden")]
     cfg = _optimizer_config(args)
-    rows = []
+    schemes = []
     for spec in args.schemes:
         try:
             scheme = parse_scheme(spec, args.split)
             _require_match(scheme, j1, j2)
-        except CliError as exc:
+        except ValueError as exc:
             print(f"skipping scheme {spec!r}: {exc}", file=sys.stderr)
             continue
+        schemes.append(scheme)
         for family in families:
-            if family not in ("tera", "tera_iden"):
-                print(
-                    f"skipping family {family!r}: ablation sweeps the "
-                    "tensor-network variants",
-                    file=sys.stderr,
-                )
-                continue
-            residuals = []
-            params = None
-            for t in range(args.targets):
-                store = FrozenFactorStore(args.master_seed)
-                adapter = build_adapter(
-                    family, j1, j2, store=store, scheme=scheme,
-                    seed=args.adapter_seed,
-                )
-                params = trainable_param_count(adapter)
-                task = gaussian_recovery_task(j1, j2, seed=args.target_seed + t)
-                report = fit_recovery(adapter, task, cfg)
-                residuals.append(report.metrics["final_relative_residual"])
-            rows.append(
-                (format_scheme(scheme), family, params,
-                 float(np.mean(residuals)))
-            )
-    write_csv(
-        out / "ablation.csv",
-        ["scheme", "family", "params", "mean_final_relative_residual"],
-        rows,
-    )
+            if family not in swept:
+                print(f"skipping family {family!r}: ablation sweeps the "
+                      "tensor-network variants", file=sys.stderr)
+    rows = ablate_schemes(schemes, swept, cfg, args.targets,
+                          master_seed=args.master_seed, target_seed=args.target_seed)
+    rows = [(format_scheme(s), f, p, m) for s, f, p, m in rows]
+    write_csv(out / "ablation.csv",
+              ["scheme", "family", "params", "mean_final_relative_residual"], rows)
     write_resolved_config(out, "ablate", args)
-    _print_table(
-        [[s, f, p, f"{m:.6f}"] for s, f, p, m in rows],
-        ["scheme", "family", "params", "mean_residual"],
-    )
+    _print_table([[s, f, p, f"{m:.6f}"] for s, f, p, m in rows],
+                 ["scheme", "family", "params", "mean_residual"])
     return EXIT_OK
 
 
@@ -592,7 +400,7 @@ def cmd_ablate(args):
 
 def cmd_checkpoint_inspect(args):
     path = Path(args.path)
-    adapter = _load_any_checkpoint(path, {})
+    adapter = _load(path)
     family = adapter.variant
     print(f"file: {path}")
     print(f"format_version: {CHECKPOINT_FORMAT_VERSION}")
@@ -628,11 +436,8 @@ def _add_optimizer_flags(p):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--config",
-        default=None,
-        help="JSON file of flag defaults (underscored keys); flags override",
-    )
+    common.add_argument("--config", default=None,
+                        help="JSON file of flag defaults (underscored keys); flags override")
     parser = argparse.ArgumentParser(
         prog="tera",
         description="Tensor-network adapters: fitting, rank analysis, "
@@ -651,11 +456,8 @@ def build_parser():
 
     p = sub.add_parser("fit", help="train one adapter configuration", parents=[common])
     p.add_argument("--task", default="recovery", choices=["recovery", "mlp"])
-    p.add_argument(
-        "--family",
-        default=None,
-        choices=["tera", "tera_iden", "lora", "vera", "hira"],
-    )
+    p.add_argument("--family", default=None,
+                   choices=["tera", "tera_iden", "lora", "vera", "hira"])
     p.add_argument("--shape", default="64x64")
     p.add_argument("--scheme", default=None)
     p.add_argument("--split", type=int, default=None)
@@ -665,12 +467,8 @@ def build_parser():
     p.add_argument("--w0-seed", type=int, default=0)
     p.add_argument("--target", default="gaussian", choices=["gaussian", "planted"])
     p.add_argument("--target-seed", type=int, default=0)
-    p.add_argument(
-        "--match-budget-of",
-        default=None,
-        metavar="tera:SCHEME",
-        help="set the vera rank so its budget matches exactly",
-    )
+    p.add_argument("--match-budget-of", default=None, metavar="tera:SCHEME",
+                   help="set the vera rank so its budget matches exactly")
     p.add_argument("--layer-sizes", default="64,64,64,64")
     p.add_argument("--n-classes", type=int, default=8)
     p.add_argument("--n-train", type=int, default=1024)
@@ -689,11 +487,7 @@ def build_parser():
     p.set_defaults(func=cmd_rank_report)
 
     p = sub.add_parser("verify", help="run the numerical bound verifiers", parents=[common])
-    p.add_argument(
-        "--bound",
-        default=None,
-        choices=["rank", "params", "expressivity", "all"],
-    )
+    p.add_argument("--bound", default=None, choices=["rank", "params", "expressivity", "all"])
     p.add_argument("--trials", type=int, default=1000, help="rank bound trials")
     p.add_argument("--scheme", default=None)
     p.add_argument("--split", type=int, default=None)
@@ -746,9 +540,9 @@ def _apply_config_file(parser, argv):
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise CliError(EXIT_CONFIG, f"bad config file {path}: {exc}")
+        raise ValueError(f"bad config file {path}: {exc}")
     if not isinstance(doc, dict):
-        raise CliError(EXIT_CONFIG, f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     doc.pop("format_version", None)
     doc.pop("command", None)
     # a key that names no flag of the command would otherwise be ignored,
@@ -757,11 +551,8 @@ def _apply_config_file(parser, argv):
     flags = set(parsed) - {"func", "config", "command", "checkpoint_command"}
     unknown = [k for k in doc if k.replace("-", "_") not in flags]
     if unknown:
-        raise CliError(
-            EXIT_CONFIG,
-            f"config file {path} has keys that name no flag of "
-            f"{parsed['command']}: {', '.join(unknown)}",
-        )
+        raise ValueError(f"config file {path} has keys that name no flag of "
+                         f"{parsed['command']}: {', '.join(unknown)}")
     actions = _command_actions(parser, parsed)
     defaults = {}
     for key, value in doc.items():
@@ -769,7 +560,7 @@ def _apply_config_file(parser, argv):
         try:
             defaults[dest] = _config_value(actions[dest], value)
         except (TypeError, ValueError) as exc:
-            raise CliError(EXIT_CONFIG, f"config file {path}: key {key!r} {exc}")
+            raise ValueError(f"config file {path}: key {key!r} {exc}")
     for p in parser._tera_parsers:
         p.set_defaults(**defaults)
 
@@ -829,7 +620,7 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ValueError, CheckpointError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

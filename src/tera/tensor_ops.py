@@ -11,7 +11,8 @@ hold without any hidden transpositions.
 The split-``k`` unfolding used throughout maps an order-``N`` tensor with mode
 sizes ``(I_1, ..., I_N)`` to a matrix with ``I_1 * ... * I_k`` rows and
 ``I_{k+1} * ... * I_N`` columns; :class:`TensorizationScheme` records the mode
-sizes, the split point, and an optional per-mode rank vector.
+sizes, the split point, and an optional per-mode rank vector, and
+:func:`parse_scheme`/:func:`format_scheme` are its text form (``a,b|c,d``).
 """
 
 from __future__ import annotations
@@ -127,6 +128,71 @@ class TensorizationScheme:
         """Factor both dimensions into equal modes of the given size."""
         left = equal_modes(j1, mode_size)
         return TensorizationScheme(left + equal_modes(j2, mode_size), split=len(left))
+
+
+# The text forms of shapes and schemes, as the `tera` command and its config
+# files write them. Each parser raises ValueError naming the bad text.
+
+
+def parse_shape(text: str) -> tuple[int, int]:
+    """``"64x64"`` -> ``(64, 64)``; both dimensions at least 2."""
+    try:
+        j1, j2 = (int(p) for p in text.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"bad shape {text!r}; expected like 64x64") from None
+    if j1 < 2 or j2 < 2:
+        raise ValueError(f"shape dimensions must be >= 2, got {text!r}")
+    return j1, j2
+
+
+def _expand_group(group, spec):
+    # "64,2^3,8" -> [64, 2, 2, 2, 8]
+    sizes = []
+    for token in group.split(","):
+        token = token.strip()
+        if not token:
+            raise ValueError(f"empty mode token in scheme {spec!r}")
+        if "^" in token:
+            base_s, _, count_s = token.partition("^")
+            try:
+                base, count = int(base_s), int(count_s)
+            except ValueError:
+                raise ValueError(f"bad mode token {token!r} in {spec!r}") from None
+            if count < 1:
+                raise ValueError(f"bad repeat count in {token!r}")
+            sizes.extend([base] * count)
+        else:
+            try:
+                sizes.append(int(token))
+            except ValueError:
+                raise ValueError(f"bad mode token {token!r} in {spec!r}") from None
+    return sizes
+
+
+def parse_scheme(spec: str, split: int | None = None) -> TensorizationScheme:
+    """A full-rank scheme from its text form: mode sizes left and right of the
+    split as ``a,b|c,d``, ``n^m`` for m equal modes (``64|4^3`` is one-sided).
+    A bare group like ``2^24`` has no ``|`` and needs ``split``."""
+    if "|" in spec:
+        left_s, _, right_s = spec.partition("|")
+        left = _expand_group(left_s, spec)
+        mode_sizes = left + _expand_group(right_s, spec)
+        split = len(left)
+    else:
+        mode_sizes = _expand_group(spec, spec)
+        if split is None:
+            raise ValueError(f"scheme {spec!r} has no '|'; pass --split as well")
+    try:
+        return TensorizationScheme(tuple(mode_sizes), split=split)
+    except ValueError as exc:
+        raise ValueError(f"invalid scheme {spec!r}: {exc}") from None
+
+
+def format_scheme(scheme: TensorizationScheme) -> str:
+    """Inverse of :func:`parse_scheme` on full-rank schemes: ``a,b|c,d``."""
+    left = ",".join(str(m) for m in scheme.mode_sizes[: scheme.split])
+    right = ",".join(str(m) for m in scheme.mode_sizes[scheme.split :])
+    return f"{left}|{right}"
 
 
 def equal_modes(dim: int, mode_size: int) -> tuple[int, ...]:

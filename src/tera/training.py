@@ -22,10 +22,13 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .adapters import (
+    CheckpointError,
+    FrozenFactorStore,
     TeraAdapter,
     _checked,
     _design_matrices,
@@ -38,8 +41,8 @@ from .adapters import (
     init_lora,
     init_tera,
     init_vera,
+    load_checkpoint,
     materialize_delta,
-    tera_gradient,
     trainable_param_count,
 )
 from .tensor_ops import TensorizationScheme, numerical_rank
@@ -66,9 +69,20 @@ class DivergenceError(RuntimeError):
 
 def delta_gradient(adapter, upstream: np.ndarray):
     """Gradients of <upstream, delta> for the adapter's trainable arrays,
-    in the same order as ``trainable_arrays()``. The tensor-network family
-    delegates to ``tera_gradient``."""
-    return _checked(adapter).grads(np.asarray(upstream, dtype=float))
+    in the same order as ``trainable_arrays()``. An upstream gradient whose
+    shape is not the delta's raises ValueError."""
+    upstream = np.asarray(upstream, dtype=float)
+    if upstream.shape != _checked(adapter).shape:
+        raise ValueError(
+            f"upstream gradient shape {upstream.shape} != delta shape {adapter.shape}"
+        )
+    return adapter.grads(upstream)
+
+
+def tera_gradient(adapter: TeraAdapter, upstream: np.ndarray):
+    """Gradients of <upstream, delta> with respect to each d vector of a
+    frozen-network adapter: its ``delta_gradient``."""
+    return delta_gradient(adapter, upstream)
 
 
 def finite_difference_check(loss_fn, grad_fn, adapter, h: float = 1e-5) -> float:
@@ -474,6 +488,37 @@ def fit_recovery(adapter, task: RecoveryTask, cfg: OptimizerConfig) -> TrainRepo
                          cfg, config, summary)
 
 
+def ablate_schemes(schemes, families, cfg: OptimizerConfig, targets, master_seed=0,
+                   target_seed=0):
+    """Recovery of ``targets`` Gaussian targets (seeds ``target_seed``,
+    ``target_seed + 1``, ...) by each tensor-network family at each scheme,
+    every fit from a fresh adapter on a fresh store of ``master_seed``.
+
+    Returns one row ``(scheme, family, trainable params, mean final relative
+    residual)`` per scheme and family, scheme-major. A family other than tera
+    or tera_iden, or fewer than one target, raises ValueError.
+    """
+    if targets < 1:
+        raise ValueError(f"targets must be at least 1, got {targets}")
+    for family in families:
+        if family not in ("tera", "tera_iden"):
+            raise ValueError(f"ablation sweeps the tensor-network variants, not {family!r}")
+    rows = []
+    for scheme in schemes:
+        j1, j2 = scheme.rows, scheme.cols
+        for family in families:
+            residuals = []
+            for t in range(targets):
+                adapter = build_adapter(family, j1, j2, store=FrozenFactorStore(master_seed),
+                                        scheme=scheme)
+                task = gaussian_recovery_task(j1, j2, seed=target_seed + t)
+                report = fit_recovery(adapter, task, cfg)
+                residuals.append(report.metrics["final_relative_residual"])
+            rows.append((scheme, family, trainable_param_count(adapter),
+                         float(np.mean(residuals))))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Alternating least squares
 
@@ -682,6 +727,14 @@ class MlpAdaptTask:
             "n_test": int(self.target_test[0].shape[0]),
         }
 
+    def rebuild_args(self):
+        """The ``make_mlp_adapt_task`` arguments that rebuild the base weights
+        bit for bit. The pretraining rate is not among them: weights
+        pretrained at another rate than the default fail their checksum."""
+        return dict(layer_sizes=list(self.layer_sizes), n_classes=self.n_classes,
+                    n_train=len(self.target_train[1]), n_test=len(self.target_test[1]),
+                    seed=self.seed, pretrain_steps=self.pretrain_config["steps"])
+
 
 def _mlp_forward(weights, x, n_classes):
     """The input followed by every layer's output: tanh after each hidden
@@ -767,8 +820,9 @@ def make_mlp_adapt_task(
 
     ``layer_sizes`` lists the layer widths, so ``len(layer_sizes) - 1`` weight
     matrices are created. Every width is at least 1, ``n_classes`` lies in
-    [2, the output width] and ``n_train`` and ``n_test`` are at least 1;
-    anything else raises ValueError naming the argument. Labels come from a
+    [2, the output width], ``n_train`` and ``n_test`` are at least 1 and
+    ``pretrain_steps`` is at least 0; anything else raises ValueError naming
+    the argument. Labels come from a
     fixed random teacher network; the source task uses raw inputs, the
     target task rotates the inputs by a random orthogonal matrix while
     keeping the unrotated labels. Everything derives from ``seed``;
@@ -784,6 +838,8 @@ def make_mlp_adapt_task(
     for name, n in (("n_train", n_train), ("n_test", n_test)):
         if n < 1:
             raise ValueError(f"{name} must be at least 1, got {n}")
+    if pretrain_steps < 0:
+        raise ValueError(f"pretrain_steps must be at least 0, got {pretrain_steps}")
     shapes = [(o, i) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])]
     if attach_layers is None:
         attach_layers = tuple(range(len(shapes)))
@@ -853,13 +909,15 @@ def build_adapter(
     rank=8,
     seed=0,
     w0=None,
+    w0_seed=None,
     default_mode_size=4,
 ):
     """Construct a zero-delta adapter of the named family.
 
     ``family`` is one of tera, tera_iden, lora, vera, hira. The tensor-network
     families default to a one-sided scheme (row dimension kept whole, column
-    dimension split into equal modes) when no scheme is given.
+    dimension split into equal modes) when no scheme is given. hira masks
+    ``w0``, or else the synthetic base weight of ``w0_seed`` (``init_hira``).
     """
     if family in ("tera", "tera_iden", "vera") and store is None:
         raise ValueError(f"{family} needs a frozen-factor store")
@@ -874,9 +932,7 @@ def build_adapter(
     if family == "vera":
         return init_vera(j1, j2, rank, store)
     if family == "hira":
-        if w0 is None:
-            raise ValueError("hira needs the base weight it masks")
-        return init_hira(j1, j2, rank, w0=w0, seed=seed)
+        return init_hira(j1, j2, rank, w0=w0, seed=seed, w0_seed=w0_seed)
     raise ValueError(f"unknown adapter family {family!r}")
 
 
@@ -895,13 +951,18 @@ def fit_mlp_adapt(
     Returns ``(report, adapters)`` where ``adapters`` maps layer index to the
     trained adapter. Only adapter parameters move; the base weights stay
     read-only throughout. The report records target-task accuracy before and
-    after adaptation plus each delta's numerical rank.
+    after adaptation plus each delta's numerical rank. A hira adapter records
+    its base weight as ``mlp_layer`` provenance, which ``load_adapter``
+    rebuilds from the task.
     """
     adapters = {}
     for layer in task.attach_layers:
         w0 = task.base_weights[layer]
         adapters[layer] = build_adapter(family, *w0.shape, store=store, scheme=scheme,
                                         rank=rank, seed=adapter_seed + layer, w0=w0)
+        if family == "hira":
+            adapters[layer].w0_provenance = {
+                "kind": "mlp_layer", "layer": layer, "task": task.rebuild_args()}
     x, y = task.target_train
     base_accuracy = mlp_accuracy(task.base_weights, task.target_test, task.n_classes)
 
@@ -943,3 +1004,43 @@ def finetune_full(task: MlpAdaptTask, cfg: OptimizerConfig):
     _train_weights(weights, task.target_train, task.n_classes, cfg)
     updates = [w - b for w, b in zip(weights, task.base_weights)]
     return weights, updates
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints with regenerated frozen parts
+
+
+def load_adapter(path, tasks=None):
+    """Load a checkpoint of any family through ``load_checkpoint``, with its
+    frozen parts regenerated: the factor store from the recorded master seed,
+    and a hira base weight of ``mlp_layer`` provenance from the rebuilt MLP
+    task. ``tasks``, a dict, caches rebuilt tasks across calls. A document
+    that cannot be read, rebuilt or loaded raises CheckpointError naming
+    ``path``.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
+    doc = doc if isinstance(doc, dict) else {}
+    seed = doc.get("master_seed")
+    store = FrozenFactorStore(seed) if type(seed) is int and seed >= 0 else None
+    w0_meta = doc.get("w0")
+    provenance = w0_meta.get("provenance") if isinstance(w0_meta, dict) else None
+    base_weight = None
+    if isinstance(provenance, dict) and provenance.get("kind") == "mlp_layer":
+        tasks = {} if tasks is None else tasks
+        try:
+            key = json.dumps(provenance["task"], sort_keys=True)
+            if key not in tasks:
+                kwargs = dict(provenance["task"])
+                kwargs["layer_sizes"] = tuple(kwargs["layer_sizes"])
+                tasks[key] = make_mlp_adapt_task(**kwargs)
+            base_weight = tasks[key].base_weights[provenance["layer"]]
+        except (KeyError, TypeError, ValueError, IndexError, DivergenceError) as exc:
+            raise CheckpointError(
+                f"cannot rebuild the base weight of {path}: {exc!r}") from exc
+    try:
+        return load_checkpoint(path, store=store, base_weight=base_weight)
+    except CheckpointError as exc:
+        raise CheckpointError(f"cannot load {path}: {exc}") from exc

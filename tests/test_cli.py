@@ -1,24 +1,15 @@
+import ast
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tera import training
+from tera import cli, training
 from tera.adapters import FrozenFactorStore, init_lora, load_checkpoint, save_checkpoint
-from tera.cli import (
-    CliError,
-    EXIT_CONFIG,
-    EXIT_DIVERGED,
-    EXIT_MISSING,
-    EXIT_OK,
-    EXIT_VIOLATED,
-    format_scheme,
-    main,
-    parse_scheme,
-    parse_shape,
-)
-from tera.tensor_ops import TensorizationScheme
+from tera.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_MISSING, EXIT_OK, EXIT_VIOLATED, main
+from tera.tensor_ops import TensorizationScheme, format_scheme, parse_scheme, parse_shape
 
 from checkpoint_docs import malformed_doc, write
 
@@ -28,7 +19,7 @@ class TestParsers:
         assert parse_shape("64x64") == (64, 64)
         assert parse_shape("4096X1024") == (4096, 1024)
         for bad in ["64", "ax4", "64x64x64", "1x8"]:
-            with pytest.raises(CliError):
+            with pytest.raises(ValueError):
                 parse_shape(bad)
 
     def test_two_sided(self):
@@ -53,16 +44,16 @@ class TestParsers:
         assert s.mode_sizes == (64, 2, 2, 4)
 
     def test_bare_group_needs_split(self):
-        with pytest.raises(CliError):
+        with pytest.raises(ValueError):
             parse_scheme("2^24")
 
     def test_bad_tokens(self):
         for bad in ["a|b", "4,|4", "2^x|2", "4^0|4"]:
-            with pytest.raises(CliError):
+            with pytest.raises(ValueError):
                 parse_scheme(bad)
 
     def test_invalid_scheme_values(self):
-        with pytest.raises(CliError):
+        with pytest.raises(ValueError):
             parse_scheme("1,4|4")  # mode size 1
 
     def test_format_round_trip(self):
@@ -110,6 +101,15 @@ class TestParamCount:
         rc = main(["param-count", "--shape", "16x16"])
         assert rc == EXIT_CONFIG
         assert "--scheme" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rank", ["0", "-3"])
+    def test_rank_below_one_exits_2(self, tmp_path, capsys, rank):
+        rc = main(["param-count", "--shape", "16x16", "--scheme", "16|4,4",
+                   "--rank", rank, "--out", str(tmp_path / "pc")])
+        assert rc == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: rank must be >= 1")
+        assert not (tmp_path / "pc" / "param_counts.csv").exists()
 
 
 def run_fit(tmp_path, name, *extra):
@@ -353,6 +353,8 @@ class TestMlpFit:
         ("--n-train=0", "n_train"),
         ("--n-test=0", "n_test"),
         ("--layer-sizes=16,-2", "layer_sizes"),
+        ("--layer-sizes=64,abc", "--layer-sizes"),
+        ("--pretrain-steps=-5", "pretrain_steps"),
     ])
     def test_sizes_that_make_no_task_exit_2(self, tmp_path, capsys, flag, name):
         out = tmp_path / "mlp"
@@ -540,6 +542,15 @@ class TestVerify:
             outs.append((out / "expressivity_instances.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_instances_below_one_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        rc = main(["verify", "--bound", "expressivity", "--instances", "-1",
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("error: instances must be at least 1")
+        assert not (out / "expressivity_bound.json").exists()
+
     def test_unknown_bound_via_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"bound": "bogus", "out": str(tmp_path)}))
@@ -578,6 +589,15 @@ class TestAblate:
         assert "skipping scheme" in err
         body = (out / "ablation.csv").read_text()
         assert "9|3,3" not in body
+
+    def test_targets_below_one_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "abl"
+        rc = main(["ablate", "--schemes", "16|4,4", "--shape", "16x16",
+                   "--targets", "0", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("error: targets must be at least 1")
+        assert not (out / "ablation.csv").exists()
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         blobs = []
@@ -646,3 +666,15 @@ class TestUnreadablePaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+def test_cli_imports_no_private_library_name():
+    # the command line reaches the library through its public names only
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        if node.level > 0 or (node.module or "").split(".")[0] == "tera"
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []

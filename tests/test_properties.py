@@ -33,8 +33,8 @@ from tera.adapters import (
     materialize_delta,
 )
 from tera import training
-from tera.cli import EXIT_CONFIG, _command_actions, build_parser, format_scheme, main, parse_scheme
-from tera.tensor_ops import TensorizationScheme, fold, unfold
+from tera.cli import EXIT_CONFIG, _command_actions, build_parser, main
+from tera.tensor_ops import TensorizationScheme, fold, format_scheme, parse_scheme, unfold
 from tera.training import delta_gradient, finite_difference_check, gaussian_recovery_task
 
 import checkpoint_docs

@@ -120,6 +120,24 @@ class TestTeraGradient:
         with pytest.raises(ValueError):
             tera_gradient(randomized_tera(), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("family, shape, upstream", [
+        # the same number of entries, so a reshape would have accepted them
+        ("tera", (4, 4), (2, 8)),
+        ("tera", (4, 4), (16,)),
+        ("vera", (4, 8), (8, 4)),
+        ("lora", (4, 8), (8, 4)),
+        ("hira", (4, 8), (2, 16)),
+    ])
+    def test_upstream_of_another_shape_is_refused(self, family, shape, upstream):
+        adapter = training.build_adapter(family, *shape, store=FrozenFactorStore(0),
+                                         scheme=TensorizationScheme((4, 2, 2), split=1),
+                                         rank=2, w0_seed=0)
+        frozen_network = family in ("tera", "vera")
+        gradients = [delta_gradient, tera_gradient] if frozen_network else [delta_gradient]
+        for gradient in gradients:
+            with pytest.raises(ValueError, match="upstream gradient shape"):
+                gradient(adapter, np.ones(upstream))
+
 
 class TestFiniteDifferences:
     def loss_and_grad(self, task):
@@ -421,6 +439,10 @@ class TestFitRecovery:
         assert curve == want_curve
         for got, want in zip(arrays, want_arrays, strict=True):
             assert_array_equal(got, want)
+
+    def test_ablation_sweeps_only_the_tensor_network_families(self):
+        with pytest.raises(ValueError, match="'lora'"):
+            training.ablate_schemes([SMALL], ["tera", "lora"], self.cfg(max_steps=2), 1)
 
     def test_report_times_its_phases(self):
         adapter = init_tera(4, 4, SMALL, FrozenFactorStore(0))
