@@ -507,7 +507,6 @@ def build_parser():
     p.add_argument("--shape", default="64x64")
     p.add_argument("--targets", type=int, default=5)
     p.add_argument("--master-seed", type=int, default=0)
-    p.add_argument("--adapter-seed", type=int, default=0)
     p.add_argument("--target-seed", type=int, default=0)
     _add_optimizer_flags(p)
     p.add_argument("--out", default=None)

@@ -36,7 +36,6 @@ from .adapters import (
     _pull,
     _reduce_by_d_vectors,
     _scaled_core,
-    clone_trainable,
     init_hira,
     init_lora,
     init_tera,
@@ -528,13 +527,20 @@ class AlsResult:
     """Upper bound on the family's best squared recovery error.
 
     ``value`` is the smallest ``||target - delta||_F^2`` found across starts,
-    sweeps, and gradient polish; the true minimum can only be lower.
+    sweeps, and a Gauss-Newton polish that kept ``polish_steps_kept`` steps
+    from ``value_before_polish``; the true minimum can only be lower.
     """
 
     value: float
     d_vectors: list
     ridge_fallbacks: int
     sweep_values: list  # per-sweep objective of the best ALS start
+    polish_steps_kept: int = 0
+
+    @property
+    def value_before_polish(self):
+        """The best start's last sweep objective, where the polish starts."""
+        return self.sweep_values[-1]
 
     @property
     def last_sweep_rel_change(self):
@@ -591,7 +597,7 @@ def als_approx_error(
     seed: int = 0,
     ridge: float = 1e-10,
 ) -> AlsResult:
-    """Alternating least squares over the d vectors, then gradient polish.
+    """Alternating least squares over the d vectors, then Gauss-Newton polish.
 
     With all other modes fixed, the delta is linear in one mode's d vector,
     so each subproblem is exact least squares on that mode's design matrix
@@ -600,11 +606,12 @@ def als_approx_error(
     (rank-deficient subproblems fall back to a ridge solve and are kept only
     if they do not increase the objective). A sweep's objective is the last
     subproblem's residual ``||w - phi @ d||^2``, so sweeps never materialize
-    the delta. The gradient polish that follows, from the first start whose
-    final sweep objective is smallest, stops once the objective is at most
-    ``64 * eps**2 * ||target||^2`` (float64 ``eps``), the rounding floor.
-    The adapter itself is never mutated; work happens on a clone. A
-    non-finite target raises ``ValueError``.
+    the delta. A Gauss-Newton polish follows from the first start whose final
+    sweep objective is smallest: minimum-norm steps with every mode's design
+    matrix side by side as the Jacobian, each kept only if the objective falls
+    strictly, until one does not, ``polish_steps`` are kept, or the objective
+    is at most ``64 * eps**2 * ||target||^2`` (float64 ``eps``), the rounding
+    floor. The adapter is never mutated. A non-finite target raises ``ValueError``.
 
     Multiple starts matter: the zero-initialized state is a stationary point
     where every subproblem for the other modes degenerates, so ALS begins
@@ -626,9 +633,8 @@ def als_approx_error(
     if not np.isfinite(target).all():
         raise ValueError("target holds non-finite values")
 
-    work = clone_trainable(adapter)
-    core, factors, _ = work.network()
-    ranks = work.scheme.ranks
+    core, factors, _ = adapter.network()
+    ranks = adapter.scheme.ranks
     w_vec = target.ravel()
     rng = np.random.default_rng(seed)
     # one draw in the order of a start-by-start, mode-by-mode loop
@@ -649,39 +655,32 @@ def als_approx_error(
     sweep_values = np.array(sweep_values)
     best = int(np.argmin(sweep_values[-1]))
     best_value = float(sweep_values[-1, best])
-    best_d = [d[best].copy() for d in d_stacks]
-    best_sweep_values = sweep_values[:, best].tolist()
+    best_d = [d[best:best + 1] for d in d_stacks]  # one-member stacks
 
-    # Gradient polish from the best start; keep the best iterate seen. It
-    # stops at the rounding floor, where no step can make a real gain.
-    for d, s in zip(work.d_vectors, best_d):
-        d[:] = s
+    # Gauss-Newton polish from the best start. The minimum-norm step absorbs
+    # the scale gauge's null space, and the last mode's design matrix at an
+    # accepted trial is the last block of the next Jacobian.
     floor = 64 * np.finfo(float).eps ** 2 * float(np.sum(target * target))
-    if polish_steps > 0 and best_value > floor:
-        polish_cfg = OptimizerConfig(
-            algorithm="adamw",
-            learning_rate=1e-2,
-            warmup_steps=0,
-            max_steps=polish_steps,
-            seed=seed,
-        )
-        opt = _Optimizer(polish_cfg, work.d_vectors)
-        diff = materialize_delta(work) - target
-        for _ in range(polish_steps):
-            opt.step(delta_gradient(work, 2.0 * diff))
-            diff = materialize_delta(work) - target
-            value = float(np.sum(diff * diff))
-            if value < best_value:
-                best_value = value
-                best_d = [d.copy() for d in work.d_vectors]
-            if best_value <= floor:
-                break
+    last, residual, kept = phi[best], residual[best], 0
+    while kept < polish_steps and best_value > floor:
+        jacobian = np.hstack([_design_matrices(core, factors, best_d, m)[0]
+                              for m in range(len(ranks) - 1)] + [last])
+        step = np.linalg.lstsq(jacobian, residual, rcond=None)[0]
+        trial = [d + s for d, s in zip(best_d, np.split(step, np.cumsum(ranks)[:-1]))]
+        trial_last = _design_matrices(core, factors, trial, len(ranks) - 1)[0]
+        trial_residual = w_vec - trial_last @ trial[-1][0]
+        value = float(trial_residual @ trial_residual)
+        if not value < best_value:
+            break
+        best_value, best_d, last, residual = value, trial, trial_last, trial_residual
+        kept += 1
 
     return AlsResult(
         value=best_value,
-        d_vectors=best_d,
+        d_vectors=[d[0].copy() for d in best_d],
         ridge_fallbacks=ridge_fallbacks,
-        sweep_values=best_sweep_values,
+        sweep_values=sweep_values[:, best].tolist(),
+        polish_steps_kept=kept,
     )
 
 

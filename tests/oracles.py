@@ -7,7 +7,8 @@ The recovery objective's oracle is the materialized one: the delta formed in
 full, where ``fit_recovery`` works in the core's coordinates. The
 expressivity verifier's oracles are its sequential forms: alternating least
 squares one start after another and the power method one restart after
-another, where the library stacks them. The optimizer's oracle steps each
+another, where the library stacks them; the AdamW polish it ran before its
+Gauss-Newton one is kept as a reference. The optimizer's oracle steps each
 trainable array on its own, where the library steps one flat buffer. The
 MLP's oracle forms every output of the last layer and the gradient with
 respect to the input, where the library forms only what the loss reads.
@@ -20,7 +21,7 @@ import numpy as np
 
 from tera.adapters import clone_trainable, materialize_delta
 from tera.tensor_ops import SpectralNormEstimate
-from tera.training import delta_gradient
+from tera.training import OptimizerConfig, delta_gradient
 
 
 def unfold_by_enumeration(tensor, split):
@@ -158,6 +159,36 @@ def als_sweeps_by_starts(adapter, target, sweeps=50, extra_starts=3, seed=0, rid
             best_value, best_sweep_values = sweep_values[-1], sweep_values
             best_d = [d.copy() for d in work.d_vectors]
     return best_value, best_d, fallbacks, best_sweep_values
+
+
+def adamw_polish(adapter, target, d_vectors, value, polish_steps=200):
+    """The gradient polish ``als_approx_error`` ran before its Gauss-Newton
+    polish: AdamW at lr 1e-2 from ``d_vectors`` (whose objective is
+    ``value``), the delta materialized at every iterate, the best iterate
+    kept, stopping at the rounding floor ``64 * eps**2 * ||target||^2``.
+
+    Returns ``(value, d_vectors)`` of the best iterate.
+    """
+    work = clone_trainable(adapter)
+    for d, s in zip(work.d_vectors, d_vectors):
+        d[:] = s
+    best_value, best_d = value, [d.copy() for d in work.d_vectors]
+    floor = 64 * np.finfo(float).eps ** 2 * float(np.sum(target * target))
+    if best_value <= floor:
+        return best_value, best_d
+    cfg = OptimizerConfig(algorithm="adamw", learning_rate=1e-2, warmup_steps=0,
+                          max_steps=polish_steps)
+    opt = OptimizerByArrays(cfg, work.d_vectors)
+    diff = materialize_delta(work) - target
+    for _ in range(polish_steps):
+        opt.step(delta_gradient(work, 2.0 * diff))
+        diff = materialize_delta(work) - target
+        current = float(np.sum(diff * diff))
+        if current < best_value:
+            best_value, best_d = current, [d.copy() for d in work.d_vectors]
+        if best_value <= floor:
+            break
+    return best_value, best_d
 
 
 def spectral_norm_by_restarts(tensor, restarts=16, tol=1e-10, max_iters=500, seed=0):

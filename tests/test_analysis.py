@@ -30,6 +30,8 @@ from tera.analysis import (
 from tera.tensor_ops import TensorizationScheme, kron_chain, pseudoinverse, unfold
 from tera.training import als_approx_error, planted_recovery_task, write_csv, write_json
 
+from oracles import adamw_polish
+
 EIGHT = TensorizationScheme((2, 4, 2, 4), split=2)
 
 
@@ -204,6 +206,20 @@ class TestExpressivityBound:
             assert report.verdict in ("holds", "inconclusive")
             assert report.lhs >= 0.0
             assert report.rhs >= 0.0
+
+    def test_random_verdicts_match_the_adamw_polish_oracle(self):
+        # Gauss-Newton may end a random target a hair above the AdamW polish
+        # it replaced (tests/oracles.py), but never on the other side of rhs
+        rng = np.random.default_rng(9)
+        for trial in range(6):
+            adapter = eight_by_eight_adapter(master_seed=trial + 30)
+            w_star = rng.standard_normal((8, 8))
+            report = verify_expressivity_bound(w_star, adapter, seed=trial)
+            swept = als_approx_error(adapter, w_star, polish_steps=0, seed=trial)
+            reference, _ = adamw_polish(adapter, w_star, swept.d_vectors, swept.value)
+            assert report.terms["als_value_before_polish"] == swept.value
+            assert report.verdict == (
+                "holds" if reference <= report.rhs + report.terms["tolerance"] else "inconclusive")
 
     def test_subspace_residual_matches_projector_oracle(self):
         adapter = eight_by_eight_adapter(master_seed=20)

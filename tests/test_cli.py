@@ -521,6 +521,21 @@ class TestVerify:
         assert csv[0] == "instance,verdict,lhs,rhs,slack"
         assert len(csv) == 6
 
+    def test_expressivity_polish_on_record_in_the_json_only(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        rc = main(["verify", "--bound", "expressivity", "--instances", "3",
+                   "--planted", "--out", str(out)])
+        assert rc == EXIT_OK
+        doc = json.loads((out / "expressivity_bound.json").read_text())
+        for report in doc["reports"]:
+            terms = report["terms"]
+            assert terms["als_value_before_polish"] >= report["lhs"]
+            assert isinstance(terms["als_polish_steps"], int)
+            assert 0 <= terms["als_polish_steps"] <= 200
+        assert any(r["terms"]["als_polish_steps"] > 0 for r in doc["reports"])
+        header = (out / "expressivity_instances.csv").read_text().split("\n")[0]
+        assert header == "instance,verdict,lhs,rhs,slack"
+
     def test_expressivity_planted_escalates_past_a_swamp(self, tmp_path, capsys):
         # Instance 5 stalls at 3 and 6 extra ALS starts and holds at 12.
         out = tmp_path / "v"
@@ -607,6 +622,29 @@ class TestAblate:
                   "--targets", "1", "--max-steps", "30", "--out", str(out)])
             blobs.append((out / "ablation.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_adapter_seed_is_no_setting(self, tmp_path, capsys):
+        # the tensor-network families take no adapter seed, so ablate offers
+        # none: neither the flag nor a config key naming it is accepted
+        args = ["ablate", "--schemes", "16|4,4", "--shape", "16x16", "--targets", "1",
+                "--max-steps", "5"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--adapter-seed", "7", "--out", str(tmp_path / "flag")])
+        assert exc.value.code == 2
+        assert "--adapter-seed" in capsys.readouterr().err
+        assert not (tmp_path / "flag").exists()
+
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"adapter_seed": 7}))
+        rc = main(args + ["--config", str(config), "--out", str(tmp_path / "key")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "adapter_seed" in err
+        assert not (tmp_path / "key").exists()
+
+        assert main(args + ["--out", str(tmp_path / "run")]) == EXIT_OK
+        resolved = json.loads((tmp_path / "run" / "resolved_config.json").read_text())
+        assert "adapter_seed" not in resolved
 
 
 class TestCheckpointInspect:
