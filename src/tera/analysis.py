@@ -245,8 +245,9 @@ def verify_expressivity_bound(
     ``inconclusive_cause`` names it: ``none`` for a verdict that holds,
     ``spectral_not_converged`` when the power method did not stabilize, and
     ``als_stalled`` otherwise. ``als_value_before_polish`` is lhs before
-    ALS's Gauss-Newton polish and ``als_polish_steps`` the steps it kept. A
-    non-finite target raises ``ValueError``.
+    ALS's Gauss-Newton run, ``als_polish_steps`` the steps it kept and
+    ``als_stop`` why ALS ended (``AlsResult.stop``). A non-finite target
+    raises ``ValueError``.
     """
     if not isinstance(adapter, TeraAdapter):
         raise TypeError("expressivity bound applies to the tensor-network family")
@@ -329,6 +330,7 @@ def verify_expressivity_bound(
             "als_last_sweep_rel_change": als.last_sweep_rel_change,
             "als_value_before_polish": als.value_before_polish,
             "als_polish_steps": als.polish_steps_kept,
+            "als_stop": als.stop,
             "inconclusive_cause": cause,
         },
         verdict=verdict,
@@ -339,9 +341,11 @@ def verify_expressivity_bound(
 def _verify_expressivity_escalated(w_star, adapter, sweeps=50, seed=0):
     """``verify_expressivity_bound``, retried up an escalation ladder until
     the verdict is "holds" or the ladder ends: ALS with 3 extra starts, then
-    6, then 12, then 24 with 150 sweeps and a cap of 800 Gauss-Newton steps
-    at ``seed + 1``. An instance that does not hold is most often an
-    alternating-least-squares swamp, which more random restarts get out of."""
+    6, then 12, then 24 with up to 150 sweeps and 800 Gauss-Newton steps at
+    ``seed + 1``. Each rung's ALS ends early at the first power-of-two sweep
+    whose Gauss-Newton probe reaches the rounding floor, if one does. An
+    instance that does not hold is most often an ALS swamp, which more random
+    restarts get out of."""
     for rung in (dict(sweeps=sweeps, seed=seed),
                  dict(sweeps=sweeps, extra_starts=6, seed=seed),
                  dict(sweeps=sweeps, extra_starts=12, seed=seed),

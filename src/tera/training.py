@@ -527,8 +527,11 @@ class AlsResult:
     """Upper bound on the family's best squared recovery error.
 
     ``value`` is the smallest ``||target - delta||_F^2`` found across starts,
-    sweeps, and a Gauss-Newton polish that kept ``polish_steps_kept`` steps
+    sweeps, and a Gauss-Newton run that kept ``polish_steps_kept`` steps
     from ``value_before_polish``; the true minimum can only be lower.
+    ``stop`` says how ALS ended: ``floor`` (at the rounding floor), else
+    ``stalled`` when the last sweep lowered the objective by less than
+    ``64 * eps`` relative (``last_sweep_rel_change``), or ``sweeps``.
     """
 
     value: float
@@ -536,17 +539,20 @@ class AlsResult:
     ridge_fallbacks: int
     sweep_values: list  # per-sweep objective of the best ALS start
     polish_steps_kept: int = 0
+    stop: str = "sweeps"
 
     @property
     def value_before_polish(self):
-        """The best start's last sweep objective, where the polish starts."""
+        """The best start's objective after the last sweep that ran, where
+        the Gauss-Newton run that produced ``value`` started."""
         return self.sweep_values[-1]
 
     @property
     def last_sweep_rel_change(self):
         """Relative drop of the objective over the best start's last sweep:
-        near 0 once ALS has stalled, larger while it is still moving. None
-        after a single sweep, which has no earlier objective to compare."""
+        near 0 once ALS has stalled, larger while it is still moving, as it
+        often is when a hand-over probe reaches the floor. None after a
+        single sweep, which has no earlier objective to compare."""
         if len(self.sweep_values) < 2:
             return None
         before, last = self.sweep_values[-2:]
@@ -597,7 +603,7 @@ def als_approx_error(
     seed: int = 0,
     ridge: float = 1e-10,
 ) -> AlsResult:
-    """Alternating least squares over the d vectors, then Gauss-Newton polish.
+    """Alternating least squares over the d vectors, handed over to Gauss-Newton.
 
     With all other modes fixed, the delta is linear in one mode's d vector,
     so each subproblem is exact least squares on that mode's design matrix
@@ -606,12 +612,21 @@ def als_approx_error(
     (rank-deficient subproblems fall back to a ridge solve and are kept only
     if they do not increase the objective). A sweep's objective is the last
     subproblem's residual ``||w - phi @ d||^2``, so sweeps never materialize
-    the delta. A Gauss-Newton polish follows from the first start whose final
-    sweep objective is smallest: minimum-norm steps with every mode's design
-    matrix side by side as the Jacobian, each kept only if the objective falls
-    strictly, until one does not, ``polish_steps`` are kept, or the objective
-    is at most ``64 * eps**2 * ||target||^2`` (float64 ``eps``), the rounding
-    floor. The adapter is never mutated. A non-finite target raises ``ValueError``.
+    the delta.
+
+    Gauss-Newton runs from the first start whose sweep objective is smallest:
+    minimum-norm steps with every mode's design matrix side by side as the
+    Jacobian, each kept only if the objective falls strictly. It goes on
+    while the step just kept cut the objective at least fourfold or by more
+    than the step before, and stops at the first step that fails, after
+    ``polish_steps`` kept steps, or at the rounding floor
+    ``64 * eps**2 * ||target||^2`` (float64 ``eps``). It runs as a hand-over
+    probe after every power-of-two sweep: a probe at the floor ends ALS with
+    its result, any other is discarded and the sweeps go on from their own
+    state. After the last sweep it runs as the polish, whose result is kept.
+    With ``polish_steps=0`` no probe runs: the result is the sweeps' own. The
+    adapter is never mutated. A non-finite target or a negative count raises
+    ``ValueError``.
 
     Multiple starts matter: the zero-initialized state is a stationary point
     where every subproblem for the other modes degenerates, so ALS begins
@@ -625,6 +640,8 @@ def als_approx_error(
         raise ValueError("sweeps must be >= 1")
     if extra_starts < 0:
         raise ValueError("extra_starts must be >= 0")
+    if polish_steps < 0:
+        raise ValueError("polish_steps must be >= 0")
     if not isinstance(adapter, TeraAdapter):
         raise TypeError("alternating least squares applies to the tensor-network family")
     target = np.asarray(target, dtype=float)
@@ -641,10 +658,34 @@ def als_approx_error(
     drawn = np.split(rng.standard_normal((extra_starts, sum(ranks))), np.cumsum(ranks)[:-1],
                      axis=1)
     d_stacks = [np.vstack([np.ones(r), x]) for r, x in zip(ranks, drawn)]
+    eps = np.finfo(float).eps
+    floor = 64 * eps ** 2 * float(np.sum(target * target))
 
-    ridge_fallbacks = 0
-    sweep_values = []  # (starts,) per sweep
-    for _ in range(sweeps):
+    def gauss_newton(values, phi, residual):
+        # The minimum-norm step absorbs the scale gauge's null space, and the
+        # last mode's design matrix at a kept trial ends the next Jacobian.
+        best = int(np.argmin(values))
+        d, last, res = [x[best:best + 1] for x in d_stacks], phi[best], residual[best]
+        value = before = float(values[best])
+        kept, fast = 0, True
+        while fast and kept < polish_steps and value > floor:
+            jacobian = np.hstack([_design_matrices(core, factors, d, m)[0]
+                                  for m in range(len(ranks) - 1)] + [last])
+            step = np.linalg.lstsq(jacobian, res, rcond=None)[0]
+            trial = [x + s for x, s in zip(d, np.split(step, np.cumsum(ranks)[:-1]))]
+            trial_last = _design_matrices(core, factors, trial, len(ranks) - 1)[0]
+            trial_res = w_vec - trial_last @ trial[-1][0]
+            trial_value = float(trial_res @ trial_res)
+            if not trial_value < value:
+                break
+            # go on while the cut value / trial_value is at least 4 or above the last
+            fast = 4 * trial_value <= value or value * value > trial_value * before
+            before, value, d, last, res = value, trial_value, trial, trial_last, trial_res
+            kept += 1
+        return best, value, d, kept
+
+    ridge_fallbacks, sweep_values = 0, []  # sweep_values: (starts,) per sweep
+    for n in range(1, sweeps + 1):
         for mode in range(len(ranks)):
             phi = _design_matrices(core, factors, d_stacks, mode)
             d_stacks[mode], fell_back = _solve_stacked(phi, w_vec, d_stacks[mode], ridge)
@@ -652,35 +693,20 @@ def als_approx_error(
         # the last mode's phi @ solution is each start's delta after this sweep
         residual = w_vec - _matvecs(phi, d_stacks[-1])
         sweep_values.append(np.einsum("sk,sk->s", residual, residual))
-    sweep_values = np.array(sweep_values)
-    best = int(np.argmin(sweep_values[-1]))
-    best_value = float(sweep_values[-1, best])
-    best_d = [d[best:best + 1] for d in d_stacks]  # one-member stacks
-
-    # Gauss-Newton polish from the best start. The minimum-norm step absorbs
-    # the scale gauge's null space, and the last mode's design matrix at an
-    # accepted trial is the last block of the next Jacobian.
-    floor = 64 * np.finfo(float).eps ** 2 * float(np.sum(target * target))
-    last, residual, kept = phi[best], residual[best], 0
-    while kept < polish_steps and best_value > floor:
-        jacobian = np.hstack([_design_matrices(core, factors, best_d, m)[0]
-                              for m in range(len(ranks) - 1)] + [last])
-        step = np.linalg.lstsq(jacobian, residual, rcond=None)[0]
-        trial = [d + s for d, s in zip(best_d, np.split(step, np.cumsum(ranks)[:-1]))]
-        trial_last = _design_matrices(core, factors, trial, len(ranks) - 1)[0]
-        trial_residual = w_vec - trial_last @ trial[-1][0]
-        value = float(trial_residual @ trial_residual)
-        if not value < best_value:
-            break
-        best_value, best_d, last, residual = value, trial, trial_last, trial_residual
-        kept += 1
+        if n == sweeps or (polish_steps > 0 and n & (n - 1) == 0):
+            best, value, d, kept = gauss_newton(sweep_values[-1], phi, residual)
+            if value <= floor:
+                break
+    best_values = np.array(sweep_values)[:, best].tolist()
+    stalled = n > 1 and best_values[-2] - best_values[-1] < 64 * eps * best_values[-2]
 
     return AlsResult(
-        value=best_value,
-        d_vectors=[d[0].copy() for d in best_d],
+        value=value,
+        d_vectors=[x[0].copy() for x in d],
         ridge_fallbacks=ridge_fallbacks,
-        sweep_values=sweep_values[:, best].tolist(),
+        sweep_values=best_values,
         polish_steps_kept=kept,
+        stop="floor" if value <= floor else "stalled" if stalled else "sweeps",
     )
 
 

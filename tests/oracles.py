@@ -8,7 +8,9 @@ full, where ``fit_recovery`` works in the core's coordinates. The
 expressivity verifier's oracles are its sequential forms: alternating least
 squares one start after another and the power method one restart after
 another, where the library stacks them; the AdamW polish it ran before its
-Gauss-Newton one is kept as a reference. The optimizer's oracle steps each
+Gauss-Newton one is kept as a reference, and so is its ALS before the
+hand-over to Gauss-Newton: every sweep, then a polish that stops only where
+a step does not help. The optimizer's oracle steps each
 trainable array on its own, where the library steps one flat buffer. The
 MLP's oracle forms every output of the last layer and the gradient with
 respect to the input, where the library forms only what the loss reads.
@@ -19,9 +21,9 @@ import math
 
 import numpy as np
 
-from tera.adapters import clone_trainable, materialize_delta
+from tera.adapters import _design_matrices, clone_trainable, materialize_delta
 from tera.tensor_ops import SpectralNormEstimate
-from tera.training import OptimizerConfig, delta_gradient
+from tera.training import AlsResult, OptimizerConfig, _matvecs, _solve_stacked, delta_gradient
 
 
 def unfold_by_enumeration(tensor, split):
@@ -159,6 +161,52 @@ def als_sweeps_by_starts(adapter, target, sweeps=50, extra_starts=3, seed=0, rid
             best_value, best_sweep_values = sweep_values[-1], sweep_values
             best_d = [d.copy() for d in work.d_vectors]
     return best_value, best_d, fallbacks, best_sweep_values
+
+
+def als_every_sweep(adapter, target, sweeps=50, extra_starts=3, polish_steps=200, seed=0,
+                    ridge=1e-10):
+    """``als_approx_error`` before the hand-over: the same stacked sweeps,
+    all ``sweeps`` of them, then one Gauss-Newton polish from the best start
+    that stops only at the first step that does not lower the objective,
+    after ``polish_steps`` steps, or at the rounding floor. Returns an
+    ``AlsResult``."""
+    core, factors, _ = adapter.network()
+    ranks = adapter.scheme.ranks
+    target = np.asarray(target, dtype=float)
+    w_vec = target.ravel()
+    rng = np.random.default_rng(seed)
+    drawn = np.split(rng.standard_normal((extra_starts, sum(ranks))), np.cumsum(ranks)[:-1],
+                     axis=1)
+    d_stacks = [np.vstack([np.ones(r), x]) for r, x in zip(ranks, drawn)]
+    ridge_fallbacks, sweep_values = 0, []
+    for _ in range(sweeps):
+        for mode in range(len(ranks)):
+            phi = _design_matrices(core, factors, d_stacks, mode)
+            d_stacks[mode], fell_back = _solve_stacked(phi, w_vec, d_stacks[mode], ridge)
+            ridge_fallbacks += fell_back
+        residual = w_vec - _matvecs(phi, d_stacks[-1])
+        sweep_values.append(np.einsum("sk,sk->s", residual, residual))
+    sweep_values = np.array(sweep_values)
+    best = int(np.argmin(sweep_values[-1]))
+    best_value = float(sweep_values[-1, best])
+    best_d = [d[best:best + 1] for d in d_stacks]
+    floor = 64 * np.finfo(float).eps ** 2 * float(np.sum(target * target))
+    last, residual, kept = phi[best], residual[best], 0
+    while kept < polish_steps and best_value > floor:
+        jacobian = np.hstack([_design_matrices(core, factors, best_d, m)[0]
+                              for m in range(len(ranks) - 1)] + [last])
+        step = np.linalg.lstsq(jacobian, residual, rcond=None)[0]
+        trial = [d + s for d, s in zip(best_d, np.split(step, np.cumsum(ranks)[:-1]))]
+        trial_last = _design_matrices(core, factors, trial, len(ranks) - 1)[0]
+        trial_residual = w_vec - trial_last @ trial[-1][0]
+        value = float(trial_residual @ trial_residual)
+        if not value < best_value:
+            break
+        best_value, best_d, last, residual = value, trial, trial_last, trial_residual
+        kept += 1
+    return AlsResult(value=best_value, d_vectors=[d[0].copy() for d in best_d],
+                     ridge_fallbacks=ridge_fallbacks, sweep_values=sweep_values[:, best].tolist(),
+                     polish_steps_kept=kept)
 
 
 def adamw_polish(adapter, target, d_vectors, value, polish_steps=200):

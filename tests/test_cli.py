@@ -536,6 +536,24 @@ class TestVerify:
         header = (out / "expressivity_instances.csv").read_text().split("\n")[0]
         assert header == "instance,verdict,lhs,rhs,slack"
 
+    def test_expressivity_als_stop_on_record_in_the_json_only(self, tmp_path, capsys):
+        # planted targets hand over at the floor; random ones run every
+        # sweep, stalled or still falling; either way the CSV keeps its columns
+        for planted in (True, False):
+            out = tmp_path / ("planted" if planted else "random")
+            rc = main(["verify", "--bound", "expressivity", "--instances", "3",
+                       "--out", str(out)] + (["--planted"] if planted else []))
+            assert rc == EXIT_OK
+            doc = json.loads((out / "expressivity_bound.json").read_text())
+            stops = [r["terms"]["als_stop"] for r in doc["reports"]]
+            if planted:
+                assert stops == ["floor"] * 3
+            else:
+                assert set(stops) <= {"stalled", "sweeps"}
+            csv = (out / "expressivity_instances.csv").read_text()
+            assert csv.split("\n")[0] == "instance,verdict,lhs,rhs,slack"
+            assert "als_stop" not in csv
+
     def test_expressivity_planted_escalates_past_a_swamp(self, tmp_path, capsys):
         # Instance 5 stalls at 3 and 6 extra ALS starts and holds at 12.
         out = tmp_path / "v"

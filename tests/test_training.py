@@ -39,6 +39,7 @@ from tera.training import (
 from oracles import (
     OptimizerByArrays,
     adamw_polish,
+    als_every_sweep,
     als_sweeps_by_starts,
     least_squares_step,
     mlp_forward,
@@ -521,7 +522,8 @@ class TestAls:
         # last, whose matrix the previous trial's objective left behind, and
         # evaluates its trial with one more: order builds per step tried. The
         # steps kept never exceed polish_steps, and with none the result is
-        # the sweeps' own.
+        # the sweeps' own. One sweep makes one Gauss-Newton run: the probe
+        # after sweep 1 is the polish after the last sweep.
         adapter = init_tera(4, 4, SMALL, FrozenFactorStore(14))
         target = gaussian_recovery_task(4, 4, seed=14).target
         builds = []
@@ -532,15 +534,15 @@ class TestAls:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(training, "_design_matrices", counted)
-        unpolished = als_approx_error(adapter, target, sweeps=3, polish_steps=0)
+        unpolished = als_approx_error(adapter, target, sweeps=1, polish_steps=0)
         sweep_builds = len(builds)
-        assert sweep_builds == 3 * SMALL.order
+        assert sweep_builds == SMALL.order
         assert unpolished.value == unpolished.sweep_values[-1]
         assert unpolished.value_before_polish == unpolished.value
         assert unpolished.polish_steps_kept == 0
         for steps in (1, 2, 25):
             builds.clear()
-            polished = als_approx_error(adapter, target, sweeps=3, polish_steps=steps)
+            polished = als_approx_error(adapter, target, sweeps=1, polish_steps=steps)
             kept = polished.polish_steps_kept
             assert 0 <= kept <= steps
             tried, rest = divmod(len(builds) - sweep_builds, SMALL.order)
@@ -601,12 +603,12 @@ class TestAls:
 
     @pytest.mark.parametrize("index", range(12))
     def test_gauss_newton_polish_never_ends_above_the_adamw_oracle(self, index):
-        # On planted targets, with the verifier's 50 sweeps, the polish ends
-        # at or below the AdamW polish it replaced (tests/oracles.py) run
-        # from the same sweeps; index 5 and 9 are ALS swamps, where neither
-        # recovers the target. From fewer sweeps the swamps can end above
-        # AdamW's (index 5 and 9 at 10 sweeps), so this is no claim for
-        # every start.
+        # On planted targets, with the verifier's 50 sweeps, ALS ends at or
+        # below the AdamW polish (tests/oracles.py) run from all 50 sweeps,
+        # or at the rounding floor, however early Gauss-Newton took over;
+        # index 5 and 9 are ALS swamps, where neither recovers the target
+        # and Gauss-Newton may end a hair above AdamW. The sweeps that ran
+        # are the sweeps' own.
         scheme = TensorizationScheme((2, 4, 2, 4), split=2)
         store = FrozenFactorStore(500 + index)
         target = planted_recovery_task(scheme, store, seed=index).target
@@ -614,12 +616,19 @@ class TestAls:
         swept = als_approx_error(adapter, target, polish_steps=0, seed=index)
         polished = als_approx_error(adapter, target, seed=index)
         reference, _ = adamw_polish(adapter, target, swept.d_vectors, swept.value)
-        assert polished.value_before_polish == swept.value
-        assert polished.value <= reference
+        ran = len(polished.sweep_values)
+        assert polished.sweep_values == als_approx_error(
+            adapter, target, sweeps=ran, polish_steps=0, seed=index).sweep_values
         assert (polished.value <= 1e-8) == (index not in (5, 9))
+        if index in (5, 9):
+            assert polished.value <= reference * (1 + 1e-3)
+        else:
+            floor = 64 * np.finfo(float).eps ** 2 * float(np.sum(target * target))
+            assert polished.value <= max(reference, floor)
 
     def test_polish_takes_no_step_past_the_rounding_floor(self):
-        # the last step kept is the first to reach 64 eps^2 ||target||^2
+        # the last step kept is the first to reach 64 eps^2 ||target||^2: with
+        # one step fewer, no probe over the same sweeps reaches the floor
         scheme = TensorizationScheme((2, 4, 2, 4), split=2)
         for index in range(6):
             store = FrozenFactorStore(700 + index)
@@ -628,9 +637,10 @@ class TestAls:
             floor = 64 * np.finfo(float).eps ** 2 * float(np.sum(target * target))
             result = als_approx_error(adapter, target, sweeps=10, seed=index)
             assert result.value <= floor < result.value_before_polish
-            kept = result.polish_steps_kept
-            one_fewer = als_approx_error(adapter, target, sweeps=10, polish_steps=kept - 1,
+            kept, ran = result.polish_steps_kept, len(result.sweep_values)
+            one_fewer = als_approx_error(adapter, target, sweeps=ran, polish_steps=kept - 1,
                                          seed=index)
+            assert one_fewer.sweep_values == result.sweep_values
             assert one_fewer.value > floor
 
     @pytest.mark.parametrize("kind", ["planted", "gaussian"])
@@ -778,6 +788,105 @@ class TestAls:
         target[1, 2] = bad
         with pytest.raises(ValueError, match="target holds non-finite"):
             als_approx_error(adapter, target, sweeps=3)
+
+    @pytest.mark.parametrize("scheme,identity", ALS_CASES[::3], ids=[
+        f"{s.mode_sizes}-split{s.split}" + ("-identity" if i else "")
+        for s, i in ALS_CASES[::3]])
+    @pytest.mark.parametrize("kind", ["planted", "gaussian", "zero"])
+    def test_unpolished_matches_the_every_sweep_oracle_bit_for_bit(self, scheme, identity,
+                                                                    kind):
+        # with polish_steps=0 no probe runs and no sweep is skipped, not even
+        # when the sweeps reach the rounding floor (a zero target, at sweep 1)
+        store = FrozenFactorStore(61)
+        adapter = init_tera(scheme.rows, scheme.cols, scheme, store, identity_factors=identity)
+        if kind == "planted":
+            target = planted_recovery_task(scheme, store, seed=2, identity_factors=identity).target
+        elif kind == "gaussian":
+            target = gaussian_recovery_task(scheme.rows, scheme.cols, seed=2).target
+        else:
+            target = np.zeros(adapter.shape)
+        result = als_approx_error(adapter, target, sweeps=40, polish_steps=0, seed=1)
+        oracle = als_every_sweep(adapter, target, sweeps=40, polish_steps=0, seed=1)
+        assert result.value == oracle.value
+        assert result.sweep_values == oracle.sweep_values
+        assert result.ridge_fallbacks == oracle.ridge_fallbacks
+        for got, want in zip(result.d_vectors, oracle.d_vectors, strict=True):
+            assert_array_equal(got, want)
+        assert result.polish_steps_kept == 0
+
+    def test_planted_target_hands_over_at_a_power_of_two_sweep(self):
+        # the probe that reaches the floor ends ALS: its d vectors reach the
+        # value, and the sweeps before it are the sweeps' own
+        scheme = TensorizationScheme((2, 4, 2, 4), split=2)
+        stops = set()
+        for index in range(6):
+            store = FrozenFactorStore(500 + index)
+            target = planted_recovery_task(scheme, store, seed=index).target
+            adapter = init_tera(8, 8, scheme, store)
+            result = als_approx_error(adapter, target, seed=index)
+            if index == 5:  # a swamp: no probe reaches the floor
+                assert result.stop in ("stalled", "sweeps")
+                continue
+            ran = len(result.sweep_values)
+            floor = 64 * np.finfo(float).eps ** 2 * float(np.sum(target * target))
+            assert result.stop == "floor" and result.value <= floor
+            assert ran & (ran - 1) == 0 and ran < 50
+            assert result.sweep_values == als_approx_error(
+                adapter, target, sweeps=ran, polish_steps=0, seed=index).sweep_values
+            best = adapter.clone()
+            for d, value in zip(best.d_vectors, result.d_vectors):
+                d[:] = value
+            diff = target - materialize_delta(best, path="kron")
+            assert float(np.sum(diff * diff)) <= 1e-10 * float(np.sum(target * target))
+            stops.add(ran)
+        assert 1 in stops and len(stops) > 1
+
+    def test_planted_recoveries_match_the_every_sweep_oracle(self):
+        # handing over early recovers exactly the planted targets that 50
+        # sweeps and a polish without the stop rule recover
+        scheme = TensorizationScheme((2, 4, 2, 4), split=2)
+        recovered = []
+        for index in range(16):
+            store = FrozenFactorStore(800 + index)
+            target = planted_recovery_task(scheme, store, seed=index).target
+            adapter = init_tera(8, 8, scheme, store)
+            got = als_approx_error(adapter, target, seed=index)
+            want = als_every_sweep(adapter, target, seed=index)
+            assert (got.value <= 1e-8) == (want.value <= 1e-8)
+            recovered.append(got.value <= 1e-8)
+        assert 0 < sum(recovered) < 16
+
+    def test_random_targets_end_near_the_every_sweep_oracle(self):
+        # the stop rule ends the crawl: on random targets the polish keeps a
+        # step or two where the oracle's keeps dozens, for at most 1e-3 of lhs
+        scheme = TensorizationScheme((2, 4, 2, 4), split=2)
+        oracle_steps = []
+        for index in range(4):
+            adapter = init_tera(8, 8, scheme, FrozenFactorStore(41 + index))
+            target = gaussian_recovery_task(8, 8, seed=1 + index).target
+            got = als_approx_error(adapter, target, seed=index)
+            want = als_every_sweep(adapter, target, seed=index)
+            assert want.value <= got.value * (1 + 1e-12)
+            assert got.value <= want.value * (1 + 1e-3)
+            assert got.polish_steps_kept <= 3
+            oracle_steps.append(want.polish_steps_kept)
+        assert max(oracle_steps) > 20
+
+    def test_stop_names_a_stalled_random_target(self):
+        # a random target's objective stops falling long before sweep 150,
+        # but after 3 sweeps it is still moving; the sweeps all run
+        scheme = TensorizationScheme((2, 4, 2, 4), split=2)
+        adapter = init_tera(8, 8, scheme, FrozenFactorStore(41))
+        target = gaussian_recovery_task(8, 8, seed=1).target
+        for sweeps, stop in ((150, "stalled"), (3, "sweeps")):
+            result = als_approx_error(adapter, target, sweeps=sweeps)
+            assert result.stop == stop and len(result.sweep_values) == sweeps
+            assert (result.last_sweep_rel_change < 64 * np.finfo(float).eps) == (stop == "stalled")
+
+    def test_negative_polish_steps_refused(self):
+        adapter = init_tera(4, 4, SMALL, FrozenFactorStore(0))
+        with pytest.raises(ValueError, match="polish_steps"):
+            als_approx_error(adapter, np.zeros((4, 4)), polish_steps=-1)
 
     def test_negative_extra_starts_refused(self):
         adapter = init_tera(4, 4, SMALL, FrozenFactorStore(0))
