@@ -23,8 +23,9 @@ that store only trainable state plus enough provenance to regenerate the
 frozen parts.
 
 Each family is one dataclass with the same methods (``delta``, ``apply``,
-``grads``, ``max_rank``, ``clone``, ``to_doc``, ``from_doc``); the module-level
-functions check their arguments and delegate to them. Only
+``grads``, ``max_rank``, ``clone``, ``to_doc``, ``from_doc``,
+``trainable_arrays`` and ``bind_trainable``); the module-level functions
+check their arguments and delegate to them. Only
 ``materialize_delta`` takes a ``path``: "mode" for every family, "kron" (the
 tensor network's second materialization path) for tera alone.
 ``ADAPTER_TYPES`` maps a checkpoint's ``adapter_type`` to its class.
@@ -197,8 +198,10 @@ class FrozenFactorStore:
 
 
 # ---------------------------------------------------------------------------
-# The frozen-network algebra, read from ``network()``. A None factor is the
-# identity: a broadcast multiply, never a GEMM with an identity matrix.
+# The frozen-network algebra, read from ``network()``, on stacks: members of
+# one network carry a leading axis, and mode m's d vectors are one
+# ``(members, ranks[m])`` array. A None factor is the identity: a broadcast
+# multiply, never a GEMM with an identity matrix.
 
 
 def _mode_sizes(core, factors):
@@ -207,66 +210,82 @@ def _mode_sizes(core, factors):
     return [r if f is None else f.shape[1] for r, f in zip(core.shape, factors)]
 
 
-def _outer(vectors):
-    """The flattened outer product of ``vectors``, built from the left by
-    broadcasting: ``(a[:, None] * b).ravel()``, then that times the next."""
-    out = vectors[0]
-    for v in vectors[1:]:
-        out = (out[:, None] * v).ravel()
+def _stacked(d_vectors):
+    """One adapter's d vectors as a one-member stack."""
+    return [d[None] for d in d_vectors]
+
+
+def _outer(stacks):
+    """Each member's flattened outer product of its vectors, built from the
+    left: ``(a[:, None] * b).ravel()``, then that times the next."""
+    out = stacks[0]
+    for v in stacks[1:]:
+        out = (out[:, :, None] * v[:, None, :]).reshape(len(v), -1)
     return out
 
 
-def _scaled_core(core, d_vectors):
-    """The core times the outer product of the d vectors."""
-    return core * _outer(d_vectors).reshape(core.shape)
-
-
-def _scale_mode(t, factor, d, mode, adjoint=False):
-    """``t`` times mode ``mode``'s d-scaled factor ``factor.T * d`` or, with
-    ``adjoint``, its transpose ``d[:, None] * factor``."""
-    if factor is None:
-        return t * d.reshape((-1,) + (1,) * (t.ndim - mode - 1))
-    return mode_n_product(t, d[:, None] * factor if adjoint else factor.T * d, mode)
-
-
-def _scale_modes(t, factors, d_vectors):
-    """``t`` times every mode's d-scaled factor, the factored modes first:
-    an identity mode then scales the mixed result, as vera's b scales the
-    rows of B @ (d * A)."""
-    for m in sorted(range(len(factors)), key=lambda m: factors[m] is None):
-        t = _scale_mode(t, factors[m], d_vectors[m], m)
-    return t
+def _scaled_core(core, d_stacks):
+    """``(members,) + core.shape``: the core times each member's outer
+    product of its d vectors."""
+    return core * _outer(d_stacks).reshape((-1,) + core.shape)
 
 
 def _pull(tensor, matrices):
-    """``tensor`` times ``matrices[m]`` on every mode m (``mode_n_product``);
-    a None matrix is the identity and costs nothing."""
+    """The stacked ``tensor`` times ``matrices[m]`` on every mode m (one
+    ``mode_n_product`` for all members); a None matrix costs nothing."""
     for m, matrix in enumerate(matrices):
         if matrix is not None:
-            tensor = mode_n_product(tensor, matrix, m)
+            tensor = mode_n_product(tensor, matrix, m + 1)
     return tensor
 
 
-def _reduce_by_d_vectors(weighted, d_vectors):
-    """Per mode i, ``weighted`` summed against every other mode's d vector:
-    ``g_i[r] = sum of weighted[..., r, ...] * prod_{m != i} d_m[r_m]``.
+def _scale_modes(t, factors, d_stacks, adjoint=False):
+    """``t``, shared, times each member's d-scaled factor ``factor.T * d`` or,
+    with ``adjoint``, its transpose ``d[:, None] * factor`` on every mode:
+    one batched matmul per mode (a one-member stack's is its
+    ``mode_n_product``, bit for bit). The factored modes go first, so an
+    identity mode scales the mixed result, as vera's b scales the rows of
+    B @ (d * A)."""
+    members, order = len(d_stacks[0]), t.ndim
+    t = t[None]
+    for m in sorted(range(order), key=lambda m: factors[m] is None):
+        d, shape = d_stacks[m], t.shape
+        if factors[m] is None:
+            t = t * d.reshape((members,) + (1,) * m + (-1,) + (1,) * (order - m - 1))
+            continue
+        mix = d[:, :, None] * factors[m] if adjoint else factors[m].T * d[:, None, :]
+        before, after = math.prod(shape[1:m + 1]), math.prod(shape[m + 2:])
+        if after == 1:
+            t = t.reshape(len(t), before, shape[m + 1]) @ mix.transpose(0, 2, 1)
+        else:
+            t = np.matmul(mix[:, None], t.reshape(len(t), before, shape[m + 1], after))
+        t = t.reshape((members,) + shape[1:m + 1] + mix.shape[1:2] + shape[m + 2:])
+    return t
+
+
+def _reduce_by_d_vectors(weighted, d_stacks, out=None):
+    """Per member s and mode i, ``weighted[s]`` summed against every other
+    mode's d vector: ``g_i[s, r] = sum of weighted[s, ..., r, ...] *
+    prod_{m != i} d_m[s, r_m]``, written into ``out[i]`` when given.
 
     Contracting the modes before i from the left leaves a ``(ranks[i],
     rest)`` matrix, multiplied by the outer product of the d vectors after
     i: O(order * core) in all. No division by d entries, so zero d vectors
     are safe, and a zero slice of ``weighted`` gives an exactly zero entry.
     """
-    suffixes = [d_vectors[-1]]  # suffixes[-1 - i]: outer product of d_{i+1..}
-    for d in reversed(d_vectors[1:-1]):
+    members = len(weighted)
+    out = [np.empty(d.shape) for d in d_stacks] if out is None else out
+    suffixes = [d_stacks[-1]]  # suffixes[-1 - i]: outer product of d_{i+1..}
+    for d in reversed(d_stacks[1:-1]):
         suffixes.append(_outer([d, suffixes[-1]]))
-    grads = []
     prefix = weighted
-    for i, d in enumerate(d_vectors[:-1]):
-        prefix = np.reshape(prefix, (d.size, -1))
-        grads.append(prefix @ suffixes[-1 - i])
-        prefix = d @ prefix
+    for i, d in enumerate(d_stacks[:-1]):
+        prefix = prefix.reshape(members, d.shape[1], -1)
+        np.matmul(prefix, suffixes[-1 - i][..., None], out=out[i][..., None])
+        prefix = d[:, None, :] @ prefix
     # the last mode has nothing after it: its gradient is the contraction
-    return grads + [np.reshape(prefix, -1)]
+    out[-1][...] = prefix.reshape(members, -1)
+    return out
 
 
 def _design_matrices(core, factors, d_stacks, mode):
@@ -303,32 +322,32 @@ class _ScaledNetwork:
 
     def delta(self):
         core, factors, d_vectors = self.network()
-        return _scale_modes(core, factors, d_vectors).reshape(self.shape)
+        return _scale_modes(core, factors, _stacked(d_vectors)).reshape(self.shape)
 
     def apply(self, x):
         # Fold x over the column modes, scale and mix each down to its rank,
         # absorb the core (never copied), then expand the row modes.
         core, factors, d_vectors = self.network()
         k, order = self.split, core.ndim
-        z = x.reshape(_mode_sizes(core, factors)[k:])
-        for j in range(order - k):
-            z = _scale_mode(z, factors[k + j], d_vectors[k + j], j, adjoint=True)
+        d_stacks = _stacked(d_vectors)
+        z = _scale_modes(x.reshape(_mode_sizes(core, factors)[k:]), factors[k:], d_stacks[k:],
+                         adjoint=True)[0]
         t = np.tensordot(core, z, axes=(tuple(range(k, order)), tuple(range(order - k))))
-        return _scale_modes(t, factors[:k], d_vectors[:k]).ravel()
+        return _scale_modes(t, factors[:k], d_stacks[:k]).ravel()
 
     def grads(self, upstream):
         # Pull the upstream through every factor, weight it by the core and
         # sum against the other modes' d vectors.
         core, factors, d_vectors = self.network()
-        pulled = _pull(upstream.reshape(_mode_sizes(core, factors)), factors)
-        return _reduce_by_d_vectors(core * pulled, d_vectors)
+        pulled = _pull(upstream.reshape([1] + _mode_sizes(core, factors)), factors)
+        return [g[0] for g in _reduce_by_d_vectors(core * pulled, _stacked(d_vectors))]
 
     def design_matrix(self, mode):
         """``(rows*cols) x ranks[mode]`` matrix ``phi`` with
         ``delta.ravel() == phi @ d_vectors[mode]``: the one-member case of
         ``_design_matrices``."""
         core, factors, d_vectors = self.network()
-        return _design_matrices(core, factors, [d[None] for d in d_vectors], mode)[0]
+        return _design_matrices(core, factors, _stacked(d_vectors), mode)[0]
 
 
 def _kron_sides(adapter):
@@ -346,7 +365,7 @@ def _kron_delta(adapter):
     """The tensor network's second materialization path: the Kronecker
     sides sandwich the unfolded core scaled by the d vectors."""
     core, _, d_vectors = adapter.network()
-    scaled = unfold(_scaled_core(core, d_vectors), adapter.split)
+    scaled = unfold(_scaled_core(core, _stacked(d_vectors))[0], adapter.split)
     left, right = _kron_sides(adapter)
     mixed = scaled if left is None else left @ scaled
     return mixed if right is None else mixed @ right.T
@@ -394,6 +413,9 @@ class TeraAdapter(_ScaledNetwork):
 
     def trainable_arrays(self):
         return list(self.d_vectors)
+
+    def bind_trainable(self, arrays):
+        self.d_vectors = list(arrays)
 
     def network(self):
         """``(core, factors, d_vectors)``: the delta is the unfolded core
@@ -453,6 +475,9 @@ class LoraAdapter:
     def trainable_arrays(self):
         return [self.a, self.b]
 
+    def bind_trainable(self, arrays):
+        self.a, self.b = arrays
+
     def network(self):
         return None  # both factors train: no frozen network
 
@@ -503,6 +528,9 @@ class VeraAdapter(_ScaledNetwork):
 
     def trainable_arrays(self):
         return [self.b, self.d]
+
+    def bind_trainable(self, arrays):
+        self.b, self.d = arrays
 
     def network(self):
         # A two-mode network: core B, the identity on the rows and A on the

@@ -35,6 +35,7 @@ from .adapters import (
     _mode_sizes,
     _pull,
     _reduce_by_d_vectors,
+    _scale_modes,
     _scaled_core,
     init_hira,
     init_lora,
@@ -144,29 +145,29 @@ class OptimizerConfig:
         return dict(dataclasses.asdict(self), betas=list(self.betas))
 
 
+def _views(flat, shapes):
+    """``flat`` cut into consecutive views of the given shapes."""
+    bounds = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return [v.reshape(shape) for v, shape in zip(np.split(flat, bounds), shapes)]
+
+
 class _Optimizer:
     """First-order updates with linear learning-rate warmup, in place.
 
-    The trainable arrays are stepped as one contiguous float64 buffer, with
-    moment buffers of the same size: a step concatenates the gradients,
-    updates the whole buffer with one sequence of ufuncs (element for
-    element the per-array update) and copies each array's slice back. The
-    buffer is the parameters' state, so between steps only the optimizer
-    may write to the arrays.
+    ``params`` are views, shaped as ``arrays``, of one float64 buffer that
+    starts as their copy, and ``grads`` those of the gradient buffer the
+    objective writes. A step updates the whole buffer with one sequence of
+    ufuncs, element for element the per-array update.
     """
 
     def __init__(self, cfg: OptimizerConfig, arrays):
         self.cfg = cfg
-        self.arrays = list(arrays)
         self.t = 0
-        self._flat = np.zeros(sum(a.size for a in self.arrays))
-        self._parts, start = [], 0
-        for a in self.arrays:
-            part = self._flat[start:start + a.size].reshape(a.shape)
-            part[...] = a
-            self._parts.append(part)
-            start += a.size
-        self._grad = np.empty_like(self._flat)
+        # the leading empty array keeps a fit with no arrays valid
+        self._flat = np.concatenate([np.zeros(0)] + [np.ravel(a) for a in arrays])
+        self._grad = np.zeros_like(self._flat)
+        shapes = [np.shape(a) for a in arrays]
+        self.params, self.grads = _views(self._flat, shapes), _views(self._grad, shapes)
         if cfg.algorithm == "adamw":
             self._m = np.zeros_like(self._flat)
             self._v = np.zeros_like(self._flat)
@@ -179,23 +180,8 @@ class _Optimizer:
             lr *= min(1.0, self.t / self.cfg.warmup_steps)
         return lr
 
-    def _gather(self, grads):
-        """The gradients as one buffer; each must have its array's shape."""
-        if len(grads) != len(self.arrays):
-            index, what = ((len(grads), "is missing") if len(grads) < len(self.arrays)
-                           else (len(self.arrays), "has no array"))
-            raise ValueError(f"gradient {index} {what}: got {len(grads)} gradients for "
-                             f"{len(self.arrays)} arrays")
-        flat = []
-        for i, (g, arr) in enumerate(zip(grads, self.arrays)):
-            g = np.asarray(g)
-            if g.shape != arr.shape:
-                raise ValueError(f"gradient {i} has shape {g.shape}, its array {arr.shape}")
-            flat.append(g.reshape(-1))
-        return np.concatenate(flat, out=self._grad) if flat else self._grad
-
-    def step(self, grads):
-        g = self._gather(grads)
+    def step(self):
+        g = self._grad
         self.t += 1
         lr = self._lr()
         b1, b2 = self.cfg.betas
@@ -216,8 +202,6 @@ class _Optimizer:
             vel *= b1
             vel += g
             flat -= lr * (vel + wd * flat)
-        for arr, part in zip(self.arrays, self._parts):
-            arr[...] = part
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +271,9 @@ class TrainReport:
     gradients, every evaluated step), ``optimizer_s`` (the optimizer steps)
     and ``report_s`` (building this report). Like ``wall_time_seconds`` it
     goes to ``report.json`` only, never to a CSV, so reruns stay
-    byte-identical.
+    byte-identical. So do ``norms``: at steps ``norms["steps"]`` (0, 1, 2,
+    4, ... and the last), each adapter's gradient norm and the norm of its
+    trainable arrays (``norms["gradient" | "trainable"][name]``).
     """
 
     loss_curve: list
@@ -298,6 +284,7 @@ class TrainReport:
     config: dict
     metrics: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
+    norms: dict = field(default_factory=dict)
 
     def to_json_dict(self):
         return {
@@ -305,6 +292,7 @@ class TrainReport:
             "final_loss": self.final_loss,
             "wall_time_seconds": self.wall_time_seconds,
             "timings": self.timings,
+            "norms": self.norms,
             "trainable_param_count": self.trainable_param_count,
             "delta_ranks": self.delta_ranks,
             "metrics": self.metrics,
@@ -362,29 +350,91 @@ def _rank(delta):
     return numerical_rank(delta) if np.isfinite(delta).all() else None
 
 
-def _fit_adapters(adapters, objective, cfg, config, summary) -> TrainReport:
+class _Block:
+    """The adapters a fit trains as one stack: those sharing a frozen
+    ``network()`` (core and factor objects) and shape, or one adapter with
+    none. Row k of ``params`` and ``grads``, views of the optimizer's
+    buffers, holds member k's trainable arrays (as views) and gradients;
+    ``d[m]`` and ``d_grads[m]`` are mode m's columns of the two.
+    """
+
+    def __init__(self, names, adapters, params, grads):
+        self.names, self.adapters, self.params, self.grads = names, adapters, params, grads
+        shapes = [x.shape for x in adapters[0].trainable_arrays()]
+        for adapter, row in zip(adapters, params):
+            adapter.bind_trainable(_views(row, shapes))
+        self.network = adapters[0].network()
+        bounds = np.cumsum([x.size for x in adapters[0].trainable_arrays()])[:-1]
+        self.d, self.d_grads = (np.split(x, bounds, axis=1) for x in (params, grads))
+
+    def deltas(self):
+        """``(members, rows, cols)``: a stack's from one ``_scale_modes``."""
+        if self.network is None:
+            return materialize_delta(self.adapters[0])[None]
+        core, factors, _ = self.network
+        return _scale_modes(core, factors, self.d).reshape((-1,) + self.adapters[0].shape)
+
+    def backward(self, upstream):
+        """Write the gradients of ``<upstream[k], member k's delta>`` into
+        ``grads``, a stack's from one pull and one reduction."""
+        if self.network is None:
+            np.concatenate([g.ravel() for g in delta_gradient(self.adapters[0], upstream[0])],
+                           out=self.grads[0])
+        else:
+            core, factors, _ = self.network
+            pulled = _pull(upstream.reshape([len(upstream)] + _mode_sizes(core, factors)),
+                           factors)
+            _reduce_by_d_vectors(core * pulled, self.d, out=self.d_grads)
+
+
+def _own(adapters, cfg):
+    """A fit's optimizer over ``adapters`` (name -> adapter), and its blocks."""
+    groups = {}
+    for name, a in adapters.items():
+        network = _checked(a).network()
+        key = name if network is None else (id(network[0]), *map(id, network[1]), a.shape)
+        groups.setdefault(key, []).append(name)
+    opt = _Optimizer(cfg, [np.stack([np.concatenate([np.ravel(x) for x in adapters[n]
+                                                      .trainable_arrays()]) for n in names])
+                           for names in groups.values()])
+    return opt, [_Block(names, [adapters[n] for n in names], params, grads)
+                 for names, params, grads in zip(groups.values(), opt.params, opt.grads)]
+
+
+def _fit_adapters(adapters, objective_for, cfg, config, summary) -> TrainReport:
     """The loop of every adapter fit, in place over ``adapters`` (name ->
-    adapter, named as in ``delta_ranks``).
+    adapter, named as in ``delta_ranks``), trained as ``_own``'s blocks.
 
     Steps 0..max_steps are evaluated with one optimizer step between two.
-    ``objective(adapters)`` returns the loss at the current state, its
-    gradients for every trainable array (adapter by adapter, each in
-    ``trainable_arrays()`` order) and the deltas it formed on the way, by
-    name (empty when it formed none). A loss that is non-finite or above
-    DIVERGENCE_FACTOR times step 0's raises DivergenceError with the partial
-    report. The report ranks the last evaluated deltas, materialized once
-    here when the objective formed none (the rank of a non-finite delta is
-    None), and takes its final loss and metrics from
-    ``summary(deltas, loss)``. The report's ``timings`` add up the time
+    ``objective_for(blocks)`` returns the objective, which writes the
+    gradients into the blocks' ``grads`` and returns the loss and the deltas
+    it formed, by name (empty when it formed none). A loss that is
+    non-finite or above DIVERGENCE_FACTOR times step 0's raises
+    DivergenceError with the partial report. The report ranks the last
+    evaluated deltas, materialized once here when the objective formed none
+    (the rank of a non-finite delta is None), and takes its final loss and
+    metrics from ``summary(deltas, loss)``. Its ``timings`` add up the time
     spent in the objective, in the optimizer and in building the report.
     """
     t0 = time.perf_counter()
-    opt = _Optimizer(cfg, [arr for a in adapters.values() for arr in a.trainable_arrays()])
+    opt, blocks = _own(adapters, cfg)
+    objective = objective_for(blocks)
     curve = []
     timings = {"objective_s": 0.0, "optimizer_s": 0.0}
+    norms = {"steps": [], "gradient": {n: [] for n in adapters},
+             "trainable": {n: [] for n in adapters}}
+
+    def record_norms(step):
+        norms["steps"].append(step)
+        for key, stacks in (("gradient", opt.grads), ("trainable", opt.params)):
+            for b, stack in zip(blocks, stacks):
+                for name, norm in zip(b.names, np.linalg.norm(stack, axis=1)):
+                    norms[key][name].append(float(norm))
 
     def report(loss, deltas):
         start = time.perf_counter()
+        if norms["steps"][-1] != len(curve) - 1:
+            record_norms(len(curve) - 1)
         deltas = deltas or {name: materialize_delta(a) for name, a in adapters.items()}
         final_loss, metrics = summary(deltas, loss)
         ranks = {name: _rank(d) for name, d in deltas.items()}
@@ -398,65 +448,57 @@ def _fit_adapters(adapters, objective, cfg, config, summary) -> TrainReport:
             config=config,
             metrics=metrics,
             timings=dict(timings, report_s=end - start),
+            norms=norms,
         )
 
     for step in range(cfg.max_steps + 1):
         start = time.perf_counter()
-        loss, grads, deltas = objective(adapters)
+        loss, deltas = objective()
         timings["objective_s"] += time.perf_counter() - start
         curve.append((step, loss))
+        if step & (step - 1) == 0:
+            record_norms(step)
         _check_divergence(step, loss, curve[0][1], lambda: report(loss, deltas))
         if step < cfg.max_steps:
             start = time.perf_counter()
-            opt.step(grads)
+            opt.step()
             timings["optimizer_s"] += time.perf_counter() - start
     return report(loss, deltas)
 
 
-def _rank_space_recovery(network, target):
-    """Recovery's objective in the core's coordinates, for an adapter whose
-    delta is a frozen network scaled by d vectors (``adapter.network()``).
+def _recovery_objective(blocks, target):
+    """``fit_recovery``'s objective over its block: on the delta, or for a
+    frozen network in the core's coordinates.
 
-    The Grams G_m = F_m F_m^T and the pulled target T~ = fold(T) x_m F_m are
-    formed once. A step forms S = C * (outer product of the d vectors) and
-    P = S x_m G_m - T~, the residual delta - T pulled through every factor:
-    the loss is (<S, P - T~> + ||T||^2) / 2, and the gradients are
-    ``tera_gradient``'s reduction of C * P. The delta is never formed; the
-    expanded loss carries about eps * ||T||^2 of absolute rounding.
+    There the Grams G_m = F_m F_m^T and the pulled target T~ = fold(T) x_m
+    F_m are formed once. A step forms S = C * (outer product of the d
+    vectors) and P = S x_m G_m - T~, the residual delta - T pulled through
+    every factor: the loss is (<S, P - T~> + ||T||^2) / 2, and the gradients
+    are the reduction of C * P. The delta is never formed; the expanded loss
+    carries about eps * ||T||^2 of absolute rounding.
     """
-    core, factors, d_vectors = network
-    pulled = _pull(np.reshape(target, _mode_sizes(core, factors)), factors)
+    (block,) = blocks
+    if block.network is None:
+        def objective():
+            delta = block.deltas()[0]
+            diff = delta - target
+            block.backward(diff[None])
+            return 0.5 * float(np.sum(diff * diff)), {"adapter": delta}
+
+        return objective
+    core, factors, _ = block.network
+    pulled = _pull(np.reshape(target, [1] + _mode_sizes(core, factors)), factors)
     grams = [None if f is None else f @ f.T for f in factors]
     target_sq = float(np.sum(target * target))
 
-    def objective(adapters):
-        s = _scaled_core(core, d_vectors)
+    def objective():
+        s = _scaled_core(core, block.d)
         p = _pull(s, grams) - pulled
         loss = 0.5 * (float(np.vdot(s, p - pulled)) + target_sq)
-        return loss, _reduce_by_d_vectors(core * p, d_vectors), {}
+        _reduce_by_d_vectors(core * p, block.d, out=block.d_grads)
+        return loss, {}
 
     return objective
-
-
-def _materialized_recovery(adapter, target):
-    """Recovery's objective for a family with no frozen network."""
-
-    def objective(adapters):
-        delta = materialize_delta(adapter)
-        diff = delta - target
-        return (0.5 * float(np.sum(diff * diff)), delta_gradient(adapter, diff),
-                {"adapter": delta})
-
-    return objective
-
-
-def _recovery_objective(adapter, target):
-    """``fit_recovery``'s objective: in rank space for a family with a frozen
-    network (``network()``), else on the materialized delta."""
-    network = _checked(adapter).network()
-    if network is None:
-        return _materialized_recovery(adapter, target)
-    return _rank_space_recovery(network, target)
 
 
 def fit_recovery(adapter, task: RecoveryTask, cfg: OptimizerConfig) -> TrainReport:
@@ -483,7 +525,8 @@ def fit_recovery(adapter, task: RecoveryTask, cfg: OptimizerConfig) -> TrainRepo
 
     config = {"task": task.describe(), "optimizer": cfg.to_dict(),
               "family": adapter.variant, "shape": list(adapter.shape)}
-    return _fit_adapters({"adapter": adapter}, _recovery_objective(adapter, task.target),
+    return _fit_adapters({"adapter": adapter},
+                         lambda blocks: _recovery_objective(blocks, task.target),
                          cfg, config, summary)
 
 
@@ -786,12 +829,13 @@ def mlp_accuracy(weights, data, n_classes) -> float:
     return float(np.mean(mlp_predict(weights, x, n_classes) == y))
 
 
-def _mlp_loss_and_grads(weights, x, y, n_classes):
-    """Cross-entropy on the first ``n_classes`` outputs; gradients per weight.
+def _mlp_loss_and_grads(weights, x, y, n_classes, grads):
+    """Cross-entropy on the first ``n_classes`` outputs; gradients per weight,
+    written into ``grads`` (arrays shaped as the weights), which it returns.
 
     Only what the loss reads is formed: the last layer's first ``n_classes``
-    rows, whose gradient fills those rows of a zero array (the other rows
-    stay exactly zero), and no gradient with respect to the input ``x``.
+    rows, whose gradient fills those rows (the other rows are set to exactly
+    zero), and no gradient with respect to the input ``x``.
     """
     activations = _mlp_forward(weights, x, n_classes)
     scores = activations[-1]
@@ -804,14 +848,13 @@ def _mlp_loss_and_grads(weights, x, y, n_classes):
     dscores[np.arange(n), y] -= 1.0
     dscores /= n
     last = len(weights) - 1
-    grads = [None] * len(weights)
-    grads[last] = np.zeros_like(weights[last])
-    grads[last][:n_classes] = dscores.T @ activations[last]
+    np.matmul(dscores.T, activations[last], out=grads[last][:n_classes])
+    grads[last][n_classes:] = 0.0
     dh = dscores @ weights[last][:n_classes]
     for layer in range(last - 1, -1, -1):
         out = activations[layer + 1]
         dz = dh * (1.0 - out * out)
-        grads[layer] = dz.T @ activations[layer]
+        np.matmul(dz.T, activations[layer], out=grads[layer])
         if layer > 0:
             dh = dz @ weights[layer]
     return loss, grads
@@ -819,16 +862,18 @@ def _mlp_loss_and_grads(weights, x, y, n_classes):
 
 def _train_weights(weights, data, n_classes, cfg: OptimizerConfig):
     """The full-weight loop: ``cfg.max_steps`` optimizer steps on every MLP
-    weight in place. Raises DivergenceError, without a report, on a loss that
-    is non-finite or above DIVERGENCE_FACTOR times step 0's."""
+    weight of the list ``weights``, whose entries become the optimizer's
+    views. Raises DivergenceError, without a report, on a loss that is
+    non-finite or above DIVERGENCE_FACTOR times step 0's."""
     opt = _Optimizer(cfg, weights)
+    weights[:] = opt.params
     x, y = data
     for step in range(cfg.max_steps):
-        loss, grads = _mlp_loss_and_grads(weights, x, y, n_classes)
+        loss, _ = _mlp_loss_and_grads(weights, x, y, n_classes, opt.grads)
         if step == 0:
             initial_loss = loss
         _check_divergence(step, loss, initial_loss, lambda: None)
-        opt.step(grads)
+        opt.step()
 
 
 def make_mlp_adapt_task(
@@ -978,7 +1023,8 @@ def fit_mlp_adapt(
     read-only throughout. The report records target-task accuracy before and
     after adaptation plus each delta's numerical rank. A hira adapter records
     its base weight as ``mlp_layer`` provenance, which ``load_adapter``
-    rebuilds from the task.
+    rebuilds from the task. Layers whose adapters share one frozen network
+    and shape train as one stack (``_Block``).
     """
     adapters = {}
     for layer in task.attach_layers:
@@ -990,18 +1036,30 @@ def fit_mlp_adapt(
                 "kind": "mlp_layer", "layer": layer, "task": task.rebuild_args()}
     x, y = task.target_train
     base_accuracy = mlp_accuracy(task.base_weights, task.target_test, task.n_classes)
+    layers = {f"layer{layer}": layer for layer in adapters}
 
     def adapted(deltas):
         weights = list(task.base_weights)
-        for layer in adapters:
-            weights[layer] = weights[layer] + deltas[f"layer{layer}"]
+        for name, layer in layers.items():
+            weights[layer] = weights[layer] + deltas[name]
         return weights
 
-    def objective(named):
-        deltas = {name: materialize_delta(a) for name, a in named.items()}
-        loss, grads = _mlp_loss_and_grads(adapted(deltas), x, y, task.n_classes)
-        return loss, [g for layer, a in adapters.items()
-                      for g in delta_gradient(a, grads[layer])], deltas
+    def objective_for(blocks):
+        # backprop writes each block's gradients into its upstream stack
+        upstreams = [np.empty((len(b.names),) + b.adapters[0].shape) for b in blocks]
+        weight_grads = [np.empty_like(w) for w in task.base_weights]
+        for b, upstream in zip(blocks, upstreams):
+            for name, u in zip(b.names, upstream):
+                weight_grads[layers[name]] = u
+
+        def objective():
+            deltas = {name: d for b in blocks for name, d in zip(b.names, b.deltas())}
+            loss, _ = _mlp_loss_and_grads(adapted(deltas), x, y, task.n_classes, weight_grads)
+            for b, upstream in zip(blocks, upstreams):
+                b.backward(upstream)
+            return loss, deltas
+
+        return objective
 
     def summary(deltas, loss):
         weights = adapted(deltas)
@@ -1014,8 +1072,8 @@ def fit_mlp_adapt(
     config = {"task": task.describe(), "optimizer": cfg.to_dict(), "family": family,
               "rank": rank, "scheme": None if scheme is None else scheme.to_dict(),
               "adapter_seed": adapter_seed}
-    named = {f"layer{layer}": a for layer, a in adapters.items()}
-    return _fit_adapters(named, objective, cfg, config, summary), adapters
+    named = {name: adapters[layer] for name, layer in layers.items()}
+    return _fit_adapters(named, objective_for, cfg, config, summary), adapters
 
 
 def finetune_full(task: MlpAdaptTask, cfg: OptimizerConfig):

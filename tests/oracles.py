@@ -13,7 +13,10 @@ hand-over to Gauss-Newton: every sweep, then a polish that stops only where
 a step does not help. The optimizer's oracle steps each
 trainable array on its own, where the library steps one flat buffer. The
 MLP's oracle forms every output of the last layer and the gradient with
-respect to the input, where the library forms only what the loss reads.
+respect to the input, where the library forms only what the loss reads; its
+adapter fit's oracle forms every layer's delta and gradients on their own,
+where the library forms those of layers sharing a frozen network as one
+stack.
 """
 
 import itertools
@@ -22,8 +25,9 @@ import math
 import numpy as np
 
 from tera.adapters import _design_matrices, clone_trainable, materialize_delta
-from tera.tensor_ops import SpectralNormEstimate
-from tera.training import AlsResult, OptimizerConfig, _matvecs, _solve_stacked, delta_gradient
+from tera.tensor_ops import SpectralNormEstimate, mode_n_product
+from tera.training import (AlsResult, OptimizerConfig, _matvecs, _mlp_loss_and_grads,
+                           _solve_stacked, delta_gradient)
 
 
 def unfold_by_enumeration(tensor, split):
@@ -229,7 +233,7 @@ def adamw_polish(adapter, target, d_vectors, value, polish_steps=200):
     opt = OptimizerByArrays(cfg, work.d_vectors)
     diff = materialize_delta(work) - target
     for _ in range(polish_steps):
-        opt.step(delta_gradient(work, 2.0 * diff))
+        step_with(opt, delta_gradient(work, 2.0 * diff))
         diff = materialize_delta(work) - target
         current = float(np.sum(diff * diff))
         if current < best_value:
@@ -280,20 +284,22 @@ def spectral_norm_by_restarts(tensor, restarts=16, tol=1e-10, max_iters=500, see
 
 
 class OptimizerByArrays:
-    """``training._Optimizer`` one array at a time: each array has its own
-    moment buffers and is updated in place, with linear warmup."""
+    """``training._Optimizer`` one array at a time: it trains the given
+    arrays themselves (``params``), each with its own gradient array in
+    ``grads`` and its own moment buffers, in place, with linear warmup."""
 
     def __init__(self, cfg, arrays):
         self.cfg = cfg
-        self.arrays = list(arrays)
+        self.params = list(arrays)
+        self.grads = [np.zeros_like(a) for a in self.params]
         self.t = 0
         if cfg.algorithm == "adamw":
-            self._m = [np.zeros_like(a) for a in self.arrays]
-            self._v = [np.zeros_like(a) for a in self.arrays]
+            self._m = [np.zeros_like(a) for a in self.params]
+            self._v = [np.zeros_like(a) for a in self.params]
         else:
-            self._vel = [np.zeros_like(a) for a in self.arrays]
+            self._vel = [np.zeros_like(a) for a in self.params]
 
-    def step(self, grads):
+    def step(self):
         self.t += 1
         lr = self.cfg.learning_rate
         if self.cfg.warmup_steps > 0:
@@ -302,8 +308,7 @@ class OptimizerByArrays:
         wd = self.cfg.weight_decay
         if self.cfg.algorithm == "adamw":
             eps = 1e-8
-            for arr, g, m, v in zip(self.arrays, grads, self._m, self._v, strict=True):
-                g = np.asarray(g, dtype=float)
+            for arr, g, m, v in zip(self.params, self.grads, self._m, self._v, strict=True):
                 m *= b1
                 m += (1 - b1) * g
                 v *= b2
@@ -312,10 +317,56 @@ class OptimizerByArrays:
                 v_hat = v / (1 - b2**self.t)
                 arr -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * arr)
         else:
-            for arr, g, vel in zip(self.arrays, grads, self._vel, strict=True):
+            for arr, g, vel in zip(self.params, self.grads, self._vel, strict=True):
                 vel *= b1
-                vel += np.asarray(g, dtype=float)
+                vel += g
                 arr -= lr * (vel + wd * arr)
+
+
+def step_with(opt, grads):
+    """Copy ``grads`` into the optimizer's gradient arrays, then step it."""
+    for buffer, g in zip(opt.grads, grads, strict=True):
+        buffer[...] = g
+    opt.step()
+
+
+def delta_by_scaled_factors(adapter):
+    """A frozen-network adapter's delta with one ``mode_n_product`` per
+    mode: each factor's transpose scaled by its d vector, the factored modes
+    first, and an identity mode a broadcast multiply of the mixed result.
+    The library forms a stack's deltas with one batched matmul per mode."""
+    core, factors, d_vectors = adapter.network()
+    t = core
+    for m in sorted(range(core.ndim), key=lambda m: factors[m] is None):
+        if factors[m] is None:
+            t = t * d_vectors[m].reshape((-1,) + (1,) * (core.ndim - m - 1))
+        else:
+            t = mode_n_product(t, factors[m].T * d_vectors[m], m)
+    return t.reshape(adapter.shape)
+
+
+def mlp_fit_by_layers(task, adapters, cfg):
+    """``fit_mlp_adapt``'s loop with its objective layer by layer: each
+    layer's delta formed on its own (``delta_by_scaled_factors`` for a
+    frozen network, else ``materialize_delta``) and its gradients from its
+    own ``delta_gradient``, stepped by ``OptimizerByArrays`` on the
+    adapters' own arrays. ``adapters`` maps layer to adapter and is trained
+    in place; returns the loss curve ``[(step, loss), ...]``."""
+    opt = OptimizerByArrays(cfg, [arr for a in adapters.values() for arr in a.trainable_arrays()])
+    x, y = task.target_train
+    curve = []
+    for step in range(cfg.max_steps + 1):
+        weights = list(task.base_weights)
+        for layer, a in adapters.items():
+            delta = materialize_delta(a) if a.network() is None else delta_by_scaled_factors(a)
+            weights[layer] = weights[layer] + delta
+        grads = [np.empty_like(w) for w in weights]
+        loss, _ = _mlp_loss_and_grads(weights, x, y, task.n_classes, grads)
+        curve.append((step, loss))
+        if step < cfg.max_steps:
+            step_with(opt, [g for layer, a in adapters.items()
+                            for g in delta_gradient(a, grads[layer])])
+    return curve
 
 
 def recovery_loss(adapter, task):

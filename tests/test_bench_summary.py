@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_summary.py"
 spec = importlib.util.spec_from_file_location("bench_summary", TOOL)
 bench_summary = importlib.util.module_from_spec(spec)
@@ -40,3 +42,62 @@ def test_medians_iqr_and_pair_wins(tmp_path):
     assert jobs["median_ratio"] == 5.5 / 3.5
     # lower is better for a latency: the same three pairs win
     assert run["metrics"]["job_ms_p50"]["change_wins"] == 3
+
+
+def entry(parent, change, better="higher"):
+    """A summary entry as ``summarize`` builds it, pairing runs by index."""
+    sign = 1 if better == "higher" else -1
+    return {"better": better, "pairs": len(parent),
+            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "parent": bench_summary.spread(parent), "change": bench_summary.spread(change)}
+
+
+PARENT = [10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0]
+
+
+@pytest.mark.parametrize("change, better, bound, want", [
+    # every pair won, median 10% up against an IQR of 0.15: a gain
+    ([x * 1.1 for x in PARENT], "higher", 0.25, "gain"),
+    # 8 of 10 pairs won: not a gain, but within the bound
+    ([x * 1.1 for x in PARENT[:8]] + [x * 0.99 for x in PARENT[8:]], "higher", 0.25,
+     "no_worse"),
+    # every pair won but the medians 0.1 apart, inside the parent's IQR
+    ([x + 0.01 for x in PARENT], "higher", 0.25, "no_worse"),
+    # 30% down on a 25% bound
+    ([x * 0.7 for x in PARENT], "higher", 0.25, "worse"),
+    # a latency 30% up is worse, 30% down a gain
+    ([x * 1.3 for x in PARENT], "lower", 0.25, "worse"),
+    ([x * 0.7 for x in PARENT], "lower", 0.25, "gain"),
+    # a spread wider than a 1% bound, the runs interleaved: unresolved
+    ([x + (0.5 if i % 2 else -0.5) for i, x in enumerate(PARENT)], "higher", 0.01,
+     "unresolved"),
+    # ... but every change run above every parent run: resolved
+    ([x + 0.5 for x in PARENT], "lower", 0.01, "worse"),
+    ([9.0, 8.5, 9.5, 9.0, 8.6, 9.4, 9.0, 8.7, 9.3, 9.0], "lower", 0.01, "gain"),
+])
+def test_verdicts(change, better, bound, want):
+    assert bench_summary.verdict(entry(PARENT, change, better), PARENT, change, bound) == want
+
+
+def test_a_change_above_every_parent_run_is_resolved():
+    # a wide parent spread and a change just above its best run: every pair
+    # won, but the medians are closer than the parent's IQR
+    parent = [1.0, 9.0, 9.5, 9.6, 9.7, 9.8, 9.9, 9.9, 10.0, 10.0]
+    change = [10.1] * 10
+    e = entry(parent, change)
+    assert e["change"]["median"] - e["parent"]["median"] < e["parent"]["iqr"]
+    assert bench_summary.verdict(e, parent, change, 0.01) == "no_worse"
+    below = [10.1] * 9 + [9.95]
+    assert bench_summary.verdict(entry(parent, below), parent, below, 0.01) == "unresolved"
+
+
+def test_every_end_to_end_metric_gets_a_verdict(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(10):
+        write_result(parent, seed, 2.0 + 0.01 * seed)
+        write_result(change, seed, 2.4 + 0.01 * seed)
+    out = tmp_path / "BENCH.json"
+    bench_summary.main([str(parent), str(change), "--out", str(out)])
+    metrics = json.loads(out.read_text())["workloads"]["recovery_sweep"]["trace0"]["metrics"]
+    assert metrics["jobs_per_s"]["verdict"] == "gain"
+    assert metrics["job_ms_p50"]["verdict"] == "gain"

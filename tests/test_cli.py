@@ -345,6 +345,25 @@ class TestMlpFit:
         report = json.loads((out / "report.json").read_text())
         assert "target_test_accuracy" in report["metrics"]
 
+    def test_norms_go_to_the_report_only_and_reruns_keep_the_csv(self, tmp_path, capsys):
+        # a stacked tera fit: gradient and trainable norms per layer in
+        # report.json, and loss.csv byte-identical across reruns
+        def fit(name):
+            out = tmp_path / name
+            rc = main(["fit", "--task", "mlp", *SMALL_MLP[4:], "--family", "tera",
+                       "--max-steps", "9", "--out", str(out)])
+            assert rc == EXIT_OK
+            return out
+
+        first, second = fit("a"), fit("b")
+        assert (first / "loss.csv").read_bytes() == (second / "loss.csv").read_bytes()
+        assert (first / "loss.csv").read_text().split("\n")[0] == "step,loss"
+        norms = json.loads((first / "report.json").read_text())["norms"]
+        assert norms["steps"] == [0, 1, 2, 4, 8, 9]
+        for key in ("gradient", "trainable"):
+            assert sorted(norms[key]) == ["layer0", "layer1"]
+            assert all(len(v) == 6 for v in norms[key].values())
+
     @pytest.mark.parametrize("flag, name", [
         ("--n-classes=-3", "n_classes"),
         ("--n-classes=0", "n_classes"),

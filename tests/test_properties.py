@@ -169,7 +169,10 @@ def test_rank_space_recovery_matches_the_materialized_objective(a, zeroed):
     if 0 <= zeroed < len(d_vectors):
         d_vectors[zeroed][:] = 0.0
     task = gaussian_recovery_task(*a.shape, seed=3)
-    loss, grads, _ = training._recovery_objective(a, task.target)({"adapter": a})
+    _, (block,) = training._own({"adapter": a}, training.OptimizerConfig())
+    loss, _ = training._recovery_objective([block], task.target)()
+    bounds = np.cumsum([d.size for d in a.trainable_arrays()])[:-1]
+    grads = np.split(block.grads[0], bounds)
     assert abs(loss - recovery_loss(a, task)) <= 1e-10 * np.sum(task.target**2)
     want = delta_gradient(a, materialize_delta(a) - task.target)
     for got, expected in zip(grads, want, strict=True):
@@ -180,10 +183,12 @@ def test_rank_space_recovery_matches_the_materialized_objective(a, zeroed):
 @given(network_adapter)
 def test_scaled_core_multiplies_the_d_vectors_from_the_left(a):
     # bit for bit ((d_0 x d_1) x d_2) ..., the association every fit's
-    # rounding was recorded with
+    # rounding was recorded with, for each member of a stack
     core, _, d_vectors = a.network()
-    np.testing.assert_array_equal(_scaled_core(core, d_vectors),
-                                  core * reduce(np.multiply.outer, d_vectors))
+    stacks = [np.stack([d, 2.0 * d]) for d in d_vectors]
+    for s, scaled in enumerate(_scaled_core(core, stacks)):
+        np.testing.assert_array_equal(
+            scaled, core * reduce(np.multiply.outer, [d[s] for d in stacks]))
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -42,10 +44,12 @@ from oracles import (
     als_every_sweep,
     als_sweeps_by_starts,
     least_squares_step,
+    mlp_fit_by_layers,
     mlp_forward,
     mlp_loss_and_grads,
     recovery_gradients,
     recovery_loss,
+    step_with,
 )
 
 SMALL = TensorizationScheme((2, 2, 2, 2), split=2)
@@ -71,6 +75,21 @@ def count_materializations(monkeypatch):
 
     monkeypatch.setattr(training, "materialize_delta", counted)
     return calls
+
+
+def split_like(row, arrays):
+    """A block's row of values cut into views shaped as ``arrays``."""
+    bounds = np.cumsum([a.size for a in arrays])[:-1]
+    return [v.reshape(a.shape) for v, a in zip(np.split(row, bounds), arrays, strict=True)]
+
+
+def recovery_objective_at(adapter, target):
+    """``fit_recovery``'s objective evaluated once at the adapter's state:
+    its loss, the gradients it wrote, shaped as the trainable arrays, and
+    the deltas it formed."""
+    _, (block,) = training._own({"adapter": adapter}, OptimizerConfig())
+    loss, deltas = training._recovery_objective([block], target)()
+    return loss, split_like(block.grads[0], adapter.trainable_arrays()), deltas
 
 
 class TestTeraGradient:
@@ -139,6 +158,45 @@ class TestTeraGradient:
         for gradient in gradients:
             with pytest.raises(ValueError, match="upstream gradient shape"):
                 gradient(adapter, np.ones(upstream))
+
+
+class TestStackedGradients:
+    @pytest.mark.parametrize("scheme, identity", [
+        (TensorizationScheme((4, 2, 3), split=1), False),
+        (TensorizationScheme((2, 4, 2, 4), split=2, ranks=(2, 2, 1, 3)), False),
+        (TensorizationScheme((2, 2, 2, 2), split=2), True),
+    ])
+    def test_match_central_differences(self, scheme, identity):
+        # three members of one network: two with random d vectors, and one
+        # whose zero-init mode is still zero, whose other modes' gradients
+        # are then exactly zero
+        store = FrozenFactorStore(8)
+        rng = np.random.default_rng(6)
+        adapters = {f"m{k}": init_tera(scheme.rows, scheme.cols, scheme, store,
+                                       identity_factors=identity) for k in range(3)}
+        for k, a in enumerate(adapters.values()):
+            for m, d in enumerate(a.d_vectors):
+                if k < 2 or m != a.zero_init_mode:
+                    d[:] = rng.standard_normal(d.shape)
+        targets = rng.standard_normal((3, scheme.rows, scheme.cols))
+        _, (block,) = training._own(adapters, OptimizerConfig())
+        assert len(block.names) == 3
+
+        def loss_fn(_):
+            diff = block.deltas() - targets
+            return 0.5 * float(np.sum(diff * diff))
+
+        def grad_fn(adapter):
+            block.backward(block.deltas() - targets)
+            k = block.adapters.index(adapter)
+            return split_like(block.grads[k], adapter.trainable_arrays())
+
+        for a in block.adapters:
+            assert finite_difference_check(loss_fn, grad_fn, a) < 1e-5
+        zeroed = block.adapters[2]
+        for m, g in enumerate(grad_fn(zeroed)):
+            if m != zeroed.zero_init_mode:
+                assert_array_equal(g, 0.0)
 
 
 class TestFiniteDifferences:
@@ -223,8 +281,7 @@ class TestRecoveryObjective:
         for arr in adapter.trainable_arrays():
             arr[:] = rng.standard_normal(arr.shape)
         task = gaussian_recovery_task(*adapter.shape, seed=50 + index)
-        loss, grads, _ = training._recovery_objective(adapter, task.target)(
-            {"adapter": adapter})
+        loss, grads, _ = recovery_objective_at(adapter, task.target)
         scale = float(np.sum(task.target * task.target))
         assert abs(loss - recovery_loss(adapter, task)) <= 1e-12 * scale
         for got, want in zip(grads, recovery_gradients(adapter, task), strict=True):
@@ -233,8 +290,7 @@ class TestRecoveryObjective:
     def test_zero_delta_loss_is_half_the_target_energy(self):
         adapter = init_tera(16, 16, OBJECTIVE_SCHEMES[4], FrozenFactorStore(3))
         target = gaussian_recovery_task(16, 16, seed=3).target
-        loss, grads, deltas = training._recovery_objective(adapter, target)(
-            {"adapter": adapter})
+        loss, grads, deltas = recovery_objective_at(adapter, target)
         assert loss == 0.5 * float(np.sum(target * target))
         assert deltas == {}
 
@@ -248,21 +304,20 @@ class TestOptimizers:
             warmup_steps=10,
             max_steps=1,
         )
-        arr = np.zeros(1)
-        opt = _Optimizer(cfg, [arr])
-        opt.step([np.ones(1)])
+        opt = _Optimizer(cfg, [np.zeros(1)])
+        opt.grads[0][...] = 1.0
+        opt.step()
         # first step uses lr * 1/10
-        assert_allclose(arr, [-0.1])
+        assert_allclose(opt.params[0], [-0.1])
 
     def test_adamw_decoupled_decay_moves_weights_without_gradient(self):
         cfg = OptimizerConfig(
             algorithm="adamw", learning_rate=0.1, weight_decay=0.5, warmup_steps=0
         )
-        arr = np.array([2.0])
-        opt = _Optimizer(cfg, [arr])
-        opt.step([np.zeros(1)])
+        opt = _Optimizer(cfg, [np.array([2.0])])
+        opt.step()
         # Pure decay: 2.0 - 0.1 * 0.5 * 2.0
-        assert_allclose(arr, [1.9])
+        assert_allclose(opt.params[0], [1.9])
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
@@ -291,29 +346,30 @@ class TestOptimizers:
         rng = np.random.default_rng(3)
         cfg = OptimizerConfig(algorithm=algorithm, learning_rate=0.05,
                               weight_decay=weight_decay, warmup_steps=warmup_steps)
-        fused = [rng.standard_normal(shape) for shape in self.SHAPES]
-        by_arrays = [a.copy() for a in fused]
-        opt, oracle = _Optimizer(cfg, fused), OptimizerByArrays(cfg, by_arrays)
+        arrays = [rng.standard_normal(shape) for shape in self.SHAPES]
+        opt = _Optimizer(cfg, arrays)
+        oracle = OptimizerByArrays(cfg, [a.copy() for a in arrays])
         for _ in range(50):
             grads = [rng.standard_normal(shape) for shape in self.SHAPES]
-            opt.step(grads)
-            oracle.step(grads)
-            for got, want in zip(fused, by_arrays, strict=True):
+            step_with(opt, grads)
+            step_with(oracle, grads)
+            for got, want in zip(opt.params, oracle.params, strict=True):
                 assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("grads, index", [
-        ([np.ones(5), np.ones((3, 4))], "gradient 2 is missing"),
-        ([np.ones(s) for s in SHAPES + [(2,)]], "gradient 5 has no array"),
-        ([np.ones(5), np.ones((4, 3)), np.ones(1), np.ones((2, 3)), np.ones(7)],
-         r"gradient 1 has shape \(4, 3\)"),
-    ], ids=["short", "long", "wrong-shape"])
-    def test_gradient_list_must_match_the_arrays(self, grads, index):
+    def test_params_and_grads_are_views_of_one_buffer_each(self):
+        # the optimizer owns copies of the arrays; a write to a gradient view
+        # is what the next step reads, and a step moves the views in place
         arrays = [np.full(shape, 2.0) for shape in self.SHAPES]
-        opt = _Optimizer(OptimizerConfig(warmup_steps=0), arrays)
-        with pytest.raises(ValueError, match=index):
-            opt.step(grads)
-        assert opt.t == 0
-        for arr in arrays:
+        opt = _Optimizer(OptimizerConfig(algorithm="sgd-momentum", learning_rate=1.0,
+                                         betas=(0.0, 0.0), warmup_steps=0), arrays)
+        for views in (opt.params, opt.grads):
+            assert [v.shape for v in views] == self.SHAPES
+            assert len({id(v.base) for v in views}) == 1
+        for i, g in enumerate(opt.grads):
+            g[...] = i
+        opt.step()
+        for i, (param, arr) in enumerate(zip(opt.params, arrays)):
+            assert_array_equal(param, 2.0 - i)
             assert_array_equal(arr, 2.0)
 
 
@@ -435,6 +491,7 @@ class TestFitRecovery:
                                   self.cfg(max_steps=200, weight_decay=0.01))
             return report.loss_curve, adapter.trainable_arrays()
 
+        # the optimizer's interface: params and grads views, and step()
         curve, arrays = fit()
         monkeypatch.setattr(training, "_Optimizer", OptimizerByArrays)
         want_curve, want_arrays = fit()
@@ -950,14 +1007,87 @@ class TestMlpAdapt:
         )
         assert report.loss_curve  # still non-empty: the step-0 evaluation
 
-    def test_one_materialization_per_layer_and_evaluated_step(self, monkeypatch):
-        # steps 0..max_steps materialize each of the 3 layers once; the
-        # report's ranks reuse the final step's deltas
-        task = tiny_task()
+    @pytest.mark.parametrize("sizes, groups", [
+        ((16, 16, 16, 16), 1),  # three equal layers: one stack
+        ((16, 64, 64), 2),  # a (64, 16) and a (64, 64) layer
+    ])
+    def test_one_stacked_formation_per_group_and_evaluated_step(self, monkeypatch, sizes,
+                                                                 groups):
+        # steps 0..10 form each group's deltas with one _scale_modes and its
+        # gradients with one reduction; no layer materializes on its own,
+        # and the report's ranks reuse the final step's deltas
+        task = make_mlp_adapt_task(layer_sizes=sizes, n_classes=4, n_train=32, n_test=16,
+                                   pretrain_steps=5)
+        counts = {}
+        for name in ("_scale_modes", "_reduce_by_d_vectors"):
+            original = getattr(training, name)
+
+            def counted(*args, original=original, name=name, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(training, name, counted)
         calls = count_materializations(monkeypatch)
         cfg = OptimizerConfig(max_steps=10, warmup_steps=0)
         fit_mlp_adapt(task, "tera", cfg, store=FrozenFactorStore(0))
-        assert len(calls) == 11 * 3
+        assert counts == {"_scale_modes": 11 * groups, "_reduce_by_d_vectors": 11 * groups}
+        assert calls == []
+
+    @staticmethod
+    def fit_both(task, family, cfg):
+        """The fit and the per-layer oracle from identical fresh adapters:
+        ``(report, adapters, oracle curve, oracle adapters)``."""
+        report, adapters = fit_mlp_adapt(task, family, cfg, store=FrozenFactorStore(3),
+                                         rank=3, adapter_seed=2)
+        _, fresh = fit_mlp_adapt(task, family, dataclasses.replace(cfg, max_steps=0),
+                                 store=FrozenFactorStore(3), rank=3, adapter_seed=2)
+        return report, adapters, mlp_fit_by_layers(task, fresh, cfg), fresh
+
+    @pytest.mark.parametrize("family", ["tera", "tera_iden", "vera"])
+    def test_stacked_fit_matches_the_per_layer_oracle(self, family):
+        cfg = OptimizerConfig(learning_rate=2e-2, warmup_steps=20, max_steps=150)
+        report, adapters, curve, fresh = self.fit_both(tiny_task(), family, cfg)
+        assert_stacked_fit_matches(report, adapters, curve, fresh)
+
+    @pytest.mark.parametrize("sizes", [(16, 64, 64), (64, 16, 64, 16)])
+    def test_mixed_shapes_match_the_per_layer_oracle(self, sizes):
+        # two network groups; in (64, 16, 64, 16) layers 0 and 2 stack
+        # around layer 1
+        task = make_mlp_adapt_task(layer_sizes=sizes, n_classes=4, n_train=128, n_test=64,
+                                   pretrain_steps=50)
+        cfg = OptimizerConfig(learning_rate=2e-2, warmup_steps=20, max_steps=150)
+        report, adapters, curve, fresh = self.fit_both(task, "tera", cfg)
+        assert_stacked_fit_matches(report, adapters, curve, fresh)
+
+    @pytest.mark.parametrize("family", ["lora", "hira"])
+    def test_low_rank_fits_are_bitwise_the_per_layer_oracle(self, family):
+        cfg = OptimizerConfig(learning_rate=2e-2, warmup_steps=20, max_steps=100)
+        report, adapters, curve, fresh = self.fit_both(tiny_task(), family, cfg)
+        assert report.loss_curve == curve
+        for layer, a in adapters.items():
+            for got, want in zip(a.trainable_arrays(), fresh[layer].trainable_arrays(),
+                                 strict=True):
+                assert_array_equal(got, want)
+
+    def test_report_records_gradient_and_trainable_norms(self):
+        cfg = OptimizerConfig(learning_rate=2e-2, warmup_steps=0, max_steps=10)
+        report, adapters = fit_mlp_adapt(tiny_task(), "tera", cfg, store=FrozenFactorStore(0))
+        norms = report.to_json_dict()["norms"]
+        assert norms["steps"] == [0, 1, 2, 4, 8, 10]
+        names = [f"layer{layer}" for layer in adapters]
+        for key in ("gradient", "trainable"):
+            assert sorted(norms[key]) == names
+            assert all(len(v) == 6 for v in norms[key].values())
+        for layer, a in adapters.items():
+            trainable = norms["trainable"][f"layer{layer}"]
+            # init: ones on every mode but the zero-init one
+            scheme = a.scheme
+            ones = sum(scheme.ranks) - scheme.ranks[a.zero_init_mode]
+            assert trainable[0] == pytest.approx(np.sqrt(ones), rel=1e-15)
+            # the last evaluated step is the adapter's final state
+            final = np.concatenate(a.trainable_arrays())
+            assert trainable[-1] == pytest.approx(np.linalg.norm(final), rel=1e-15)
+            assert norms["gradient"][f"layer{layer}"][0] > 0
 
     def test_adaptation_improves_target_accuracy(self):
         task = tiny_task()
@@ -985,6 +1115,24 @@ class TestMlpAdapt:
         assert acc > base
 
 
+def assert_stacked_fit_matches(report, adapters, curve, fresh):
+    """A stacked MLP fit against the per-layer oracle: the loss curve within
+    1e-12 relative, the final trainable arrays within 1e-9 relative."""
+    assert [s for s, _ in report.loss_curve] == [s for s, _ in curve]
+    for (_, got), (_, want) in zip(report.loss_curve, curve, strict=True):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    for layer, a in adapters.items():
+        got = np.concatenate(a.trainable_arrays())
+        want = np.concatenate(fresh[layer].trainable_arrays())
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def backprop(weights, x, y, n_classes):
+    """``training._mlp_loss_and_grads`` into fresh gradient arrays."""
+    return training._mlp_loss_and_grads(weights, x, y, n_classes,
+                                        [np.empty_like(w) for w in weights])
+
+
 def random_mlp(sizes, n, n_classes, seed=0):
     """Weights drawn like the task's initialization, standard-normal inputs
     and uniform labels."""
@@ -1005,7 +1153,7 @@ class TestMlpBackprop:
     def test_bitwise_the_full_width_oracle(self, sizes, n, n_classes):
         for seed in range(3):
             weights, x, y = random_mlp(sizes, n, n_classes, seed)
-            loss, grads = training._mlp_loss_and_grads(weights, x, y, n_classes)
+            loss, grads = backprop(weights, x, y, n_classes)
             want_loss, want = mlp_loss_and_grads(weights, x, y, n_classes)
             assert loss == want_loss
             for got, expected in zip(grads, want, strict=True):
@@ -1022,7 +1170,7 @@ class TestMlpBackprop:
         # bits may differ
         for seed in range(3):
             weights, x, y = random_mlp(sizes, n, n_classes, seed)
-            loss, grads = training._mlp_loss_and_grads(weights, x, y, n_classes)
+            loss, grads = backprop(weights, x, y, n_classes)
             want_loss, want = mlp_loss_and_grads(weights, x, y, n_classes)
             assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
             for got, expected in zip(grads, want, strict=True):
@@ -1030,23 +1178,23 @@ class TestMlpBackprop:
 
     def test_last_layer_rows_past_n_classes_are_exactly_zero(self):
         weights, x, y = random_mlp((16, 12, 10), 40, 3)
-        _, grads = training._mlp_loss_and_grads(weights, x, y, 3)
+        _, grads = backprop(weights, x, y, 3)
         assert grads[-1].shape == (10, 12)
         assert np.all(grads[-1][3:] == 0)
         assert np.all(grads[-1][:3] != 0)
 
     def test_weight_gradients_match_central_differences(self):
         weights, x, y = random_mlp((5, 6, 4, 6), 20, 3, seed=4)
-        _, grads = training._mlp_loss_and_grads(weights, x, y, 3)
+        _, grads = backprop(weights, x, y, 3)
         h = 1e-6
         for w, grad in zip(weights, grads, strict=True):
             numeric = np.zeros_like(w)
             for index in np.ndindex(w.shape):
                 orig = w[index]
                 w[index] = orig + h
-                plus, _ = training._mlp_loss_and_grads(weights, x, y, 3)
+                plus, _ = backprop(weights, x, y, 3)
                 w[index] = orig - h
-                minus, _ = training._mlp_loss_and_grads(weights, x, y, 3)
+                minus, _ = backprop(weights, x, y, 3)
                 w[index] = orig
                 numeric[index] = (plus - minus) / (2 * h)
             assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)

@@ -4,9 +4,10 @@ Each checkout runs ``perfbench/run.py`` with the same seeds, which leaves one
 ``result_<workload>_seed<N>_trace<T>.json`` per run in its ``.bench_out/``.
 Given the two directories, this writes, per workload and metric, the median,
 the interquartile range and the count of each side, and for the end-to-end
-metrics the seeds both sides ran: how many of those pairs the change won
-and the ratio of the medians. The environment block of the runs is copied
-in as recorded. Usage, from the root of a checkout:
+metrics the seeds both sides ran: how many of those pairs the change won,
+the ratio of the medians and a ``verdict`` (see ``verdict``). The
+environment block of the runs is copied in as recorded. Usage, from the root
+of a checkout:
 
     python3 tools/bench_summary.py PARENT/.bench_out CHANGE/.bench_out --out BENCH.json
 """
@@ -41,8 +42,36 @@ def spread(values):
     return {"median": statistics.median(values), "iqr": q3 - q1, "n": len(values)}
 
 
+def verdict(entry, parent, change, bound):
+    """``gain``, ``worse``, ``unresolved`` or ``no_worse`` for one
+    end-to-end metric, from its summary ``entry`` and each side's runs.
+
+    ``gain``: the change won at least nine tenths of the pairs (ties count
+    for neither) and its median is better than the parent's by more than
+    the parent's interquartile range. ``worse``: its median is worse than
+    the parent's by more than ``bound`` times the parent's median.
+    ``unresolved``: either side's interquartile range is wider than that
+    bound, unless every run of the change is better than every run of the
+    parent. ``no_worse`` otherwise.
+    """
+    sign = 1 if entry["better"] == "higher" else -1
+    base = entry["parent"]["median"]
+    gap = sign * (entry["change"]["median"] - base)
+    limit = bound * abs(base)
+    if entry["change_wins"] >= 0.9 * entry["pairs"] > 0 and gap > entry["parent"]["iqr"]:
+        return "gain"
+    if -gap > limit:
+        return "worse"
+    spread = max(entry["parent"]["iqr"], entry["change"]["iqr"])
+    separated = min(sign * c for c in change) > max(sign * p for p in parent)
+    if spread > limit and not separated:
+        return "unresolved"
+    return "no_worse"
+
+
 def summarize(parent, change, better):
-    """One workload and trace: every metric both sides report."""
+    """One workload and trace: every metric both sides report; ``better``
+    maps the end-to-end metrics to their ``BENCHMARK.json`` entries."""
     names = sorted(set.intersection(*(set(doc["metrics"]) for side in (parent, change)
                                       for doc in side.values())))
     out = {"failed": {"parent": sum(d["failed"] for d in parent.values()),
@@ -55,14 +84,16 @@ def summarize(parent, change, better):
                  "parent": spread(list(values[0].values())),
                  "change": spread(list(values[1].values()))}
         if name in better:
-            sign = 1 if better[name] == "higher" else -1
+            sign = 1 if better[name]["better"] == "higher" else -1
             seeds = sorted(set(parent) & set(change))
-            entry["better"] = better[name]
+            entry["better"] = better[name]["better"]
             entry["pairs"] = len(seeds)
             entry["change_wins"] = sum(
                 sign * (values[1][s] - values[0][s]) > 0 for s in seeds)
             base = entry["parent"]["median"]
             entry["median_ratio"] = entry["change"]["median"] / base if base else None
+            entry["verdict"] = verdict(entry, list(values[0].values()),
+                                       list(values[1].values()), better[name]["bound"])
         out["metrics"][name] = entry
     return out
 
@@ -73,7 +104,7 @@ def main(argv=None):
     parser.add_argument("change", help=".bench_out/ of the changed checkout")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    better = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     parent, change = load_runs(args.parent), load_runs(args.change)
     first = next(iter(next(iter(change.values())).values()))
     doc = {
