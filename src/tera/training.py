@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -145,10 +146,15 @@ class OptimizerConfig:
         return dict(dataclasses.asdict(self), betas=list(self.betas))
 
 
-def _views(flat, shapes):
-    """``flat`` cut into consecutive views of the given shapes."""
-    bounds = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-    return [v.reshape(shape) for v, shape in zip(np.split(flat, bounds), shapes)]
+def _views(buffer, shapes):
+    """``buffer``'s last axis cut into consecutive views, each shaped as the
+    leading axes followed by its shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[..., start:start + size].reshape(buffer.shape[:-1] + shape))
+        start += size
+    return views
 
 
 class _Optimizer:
@@ -157,7 +163,8 @@ class _Optimizer:
     ``params`` are views, shaped as ``arrays``, of one float64 buffer that
     starts as their copy, and ``grads`` those of the gradient buffer the
     objective writes. A step updates the whole buffer with one sequence of
-    ufuncs, element for element the per-array update.
+    ufuncs into two scratch buffers, element for element the per-array
+    update.
     """
 
     def __init__(self, cfg: OptimizerConfig, arrays):
@@ -166,6 +173,7 @@ class _Optimizer:
         # the leading empty array keeps a fit with no arrays valid
         self._flat = np.concatenate([np.zeros(0)] + [np.ravel(a) for a in arrays])
         self._grad = np.zeros_like(self._flat)
+        self._tmp, self._den = np.empty_like(self._flat), np.empty_like(self._flat)
         shapes = [np.shape(a) for a in arrays]
         self.params, self.grads = _views(self._flat, shapes), _views(self._grad, shapes)
         if cfg.algorithm == "adamw":
@@ -181,27 +189,28 @@ class _Optimizer:
         return lr
 
     def step(self):
-        g = self._grad
+        g, flat, tmp, den = self._grad, self._flat, self._tmp, self._den
         self.t += 1
         lr = self._lr()
         b1, b2 = self.cfg.betas
-        wd = self.cfg.weight_decay
-        flat = self._flat
+        # flat -= lr * (update + wd * flat): adamw's update is m_hat /
+        # (sqrt(v_hat) + eps), sgd-momentum's the velocity
         if self.cfg.algorithm == "adamw":
-            eps = 1e-8
             m, v = self._m, self._v
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(g, 1 - b1, out=tmp)
             v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**self.t)
-            v_hat = v / (1 - b2**self.t)
-            flat -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * flat)
+            v += np.multiply(np.multiply(g, 1 - b2, out=tmp), g, out=tmp)
+            np.sqrt(np.divide(v, 1 - b2**self.t, out=den), out=den)
+            den += 1e-8
+            update = np.divide(np.divide(m, 1 - b1**self.t, out=tmp), den, out=tmp)
         else:
-            vel = self._vel
-            vel *= b1
-            vel += g
-            flat -= lr * (vel + wd * flat)
+            update = self._vel
+            update *= b1
+            update += g
+        update = np.add(update, np.multiply(flat, self.cfg.weight_decay, out=den), out=tmp)
+        update *= lr
+        flat -= update
 
 
 # ---------------------------------------------------------------------------
@@ -353,38 +362,43 @@ def _rank(delta):
 class _Block:
     """The adapters a fit trains as one stack: those sharing a frozen
     ``network()`` (core and factor objects) and shape, or one adapter with
-    none. Row k of ``params`` and ``grads``, views of the optimizer's
-    buffers, holds member k's trainable arrays (as views) and gradients;
-    ``d[m]`` and ``d_grads[m]`` are mode m's columns of the two.
+    none. ``params[i]`` and ``grads[i]``, views of the optimizer's buffers,
+    stack every member's i-th trainable array and its gradient; member k's
+    arrays are its rows of ``params``.
     """
 
     def __init__(self, names, adapters, params, grads):
-        self.names, self.adapters, self.params, self.grads = names, adapters, params, grads
         shapes = [x.shape for x in adapters[0].trainable_arrays()]
-        for adapter, row in zip(adapters, params):
-            adapter.bind_trainable(_views(row, shapes))
-        self.network = adapters[0].network()
-        bounds = np.cumsum([x.size for x in adapters[0].trainable_arrays()])[:-1]
-        self.d, self.d_grads = (np.split(x, bounds, axis=1) for x in (params, grads))
+        self.names, self.adapters, self.network = names, adapters, adapters[0].network()
+        self.params, self.grads = _views(params, shapes), _views(grads, shapes)
+        for k, adapter in enumerate(adapters):
+            adapter.bind_trainable([p[k] for p in self.params])
 
     def deltas(self):
         """``(members, rows, cols)``: a stack's from one ``_scale_modes``."""
         if self.network is None:
             return materialize_delta(self.adapters[0])[None]
         core, factors, _ = self.network
-        return _scale_modes(core, factors, self.d).reshape((-1,) + self.adapters[0].shape)
+        return _scale_modes(core, factors, self.params).reshape((-1,) + self.adapters[0].shape)
 
     def backward(self, upstream):
         """Write the gradients of ``<upstream[k], member k's delta>`` into
-        ``grads``, a stack's from one pull and one reduction."""
-        if self.network is None:
-            np.concatenate([g.ravel() for g in delta_gradient(self.adapters[0], upstream[0])],
-                           out=self.grads[0])
-        else:
+        ``grads``, a stack's from one pull and one reduction. A gradient
+        list that is not shaped as the arrays is refused, nothing written."""
+        if self.network is not None:
             core, factors, _ = self.network
             pulled = _pull(upstream.reshape([len(upstream)] + _mode_sizes(core, factors)),
                            factors)
-            _reduce_by_d_vectors(core * pulled, self.d, out=self.d_grads)
+            _reduce_by_d_vectors(core * pulled, self.params, out=self.grads)
+            return
+        grads = delta_gradient(self.adapters[0], upstream[0])
+        got, want = [np.shape(g) for g in grads], [g.shape[1:] for g in self.grads]
+        for i, (g, a) in enumerate(itertools.zip_longest(got, want)):
+            if g != a:
+                raise ValueError(f"gradient {i} has shape {g}, its array {a}: "
+                                 f"{len(got)} gradients for {len(want)} arrays")
+        for g, view in zip(grads, self.grads):
+            view[0] = g
 
 
 def _own(adapters, cfg):
@@ -401,24 +415,23 @@ def _own(adapters, cfg):
                  for names, params, grads in zip(groups.values(), opt.params, opt.grads)]
 
 
-def _fit_adapters(adapters, objective_for, cfg, config, summary) -> TrainReport:
+def _fit_adapters(adapters, opt, blocks, objective, config, summary) -> TrainReport:
     """The loop of every adapter fit, in place over ``adapters`` (name ->
-    adapter, named as in ``delta_ranks``), trained as ``_own``'s blocks.
+    adapter, named as in ``delta_ranks``), of which ``_own`` made ``opt``
+    and ``blocks``.
 
     Steps 0..max_steps are evaluated with one optimizer step between two.
-    ``objective_for(blocks)`` returns the objective, which writes the
-    gradients into the blocks' ``grads`` and returns the loss and the deltas
-    it formed, by name (empty when it formed none). A loss that is
-    non-finite or above DIVERGENCE_FACTOR times step 0's raises
-    DivergenceError with the partial report. The report ranks the last
-    evaluated deltas, materialized once here when the objective formed none
-    (the rank of a non-finite delta is None), and takes its final loss and
-    metrics from ``summary(deltas, loss)``. Its ``timings`` add up the time
-    spent in the objective, in the optimizer and in building the report.
+    ``objective()`` writes the gradients into the blocks' ``grads`` and
+    returns the loss and the deltas it formed, by name (empty when it formed
+    none). A loss that is non-finite or above DIVERGENCE_FACTOR times step
+    0's raises DivergenceError with the partial report. The report ranks the
+    last evaluated deltas, materialized once here when the objective formed
+    none (the rank of a non-finite delta is None), and takes its final loss
+    and metrics from ``summary(deltas, loss)``. Its ``timings`` add up the
+    time spent in the objective, in the optimizer and in building the report.
     """
     t0 = time.perf_counter()
-    opt, blocks = _own(adapters, cfg)
-    objective = objective_for(blocks)
+    max_steps = opt.cfg.max_steps
     curve = []
     timings = {"objective_s": 0.0, "optimizer_s": 0.0}
     norms = {"steps": [], "gradient": {n: [] for n in adapters},
@@ -451,7 +464,7 @@ def _fit_adapters(adapters, objective_for, cfg, config, summary) -> TrainReport:
             norms=norms,
         )
 
-    for step in range(cfg.max_steps + 1):
+    for step in range(max_steps + 1):
         start = time.perf_counter()
         loss, deltas = objective()
         timings["objective_s"] += time.perf_counter() - start
@@ -459,14 +472,14 @@ def _fit_adapters(adapters, objective_for, cfg, config, summary) -> TrainReport:
         if step & (step - 1) == 0:
             record_norms(step)
         _check_divergence(step, loss, curve[0][1], lambda: report(loss, deltas))
-        if step < cfg.max_steps:
+        if step < max_steps:
             start = time.perf_counter()
             opt.step()
             timings["optimizer_s"] += time.perf_counter() - start
     return report(loss, deltas)
 
 
-def _recovery_objective(blocks, target):
+def _recovery_objective(block, target):
     """``fit_recovery``'s objective over its block: on the delta, or for a
     frozen network in the core's coordinates.
 
@@ -477,7 +490,6 @@ def _recovery_objective(blocks, target):
     are the reduction of C * P. The delta is never formed; the expanded loss
     carries about eps * ||T||^2 of absolute rounding.
     """
-    (block,) = blocks
     if block.network is None:
         def objective():
             delta = block.deltas()[0]
@@ -492,10 +504,10 @@ def _recovery_objective(blocks, target):
     target_sq = float(np.sum(target * target))
 
     def objective():
-        s = _scaled_core(core, block.d)
+        s = _scaled_core(core, block.params)
         p = _pull(s, grams) - pulled
         loss = 0.5 * (float(np.vdot(s, p - pulled)) + target_sq)
-        _reduce_by_d_vectors(core * p, block.d, out=block.d_grads)
+        _reduce_by_d_vectors(core * p, block.params, out=block.grads)
         return loss, {}
 
     return objective
@@ -525,9 +537,10 @@ def fit_recovery(adapter, task: RecoveryTask, cfg: OptimizerConfig) -> TrainRepo
 
     config = {"task": task.describe(), "optimizer": cfg.to_dict(),
               "family": adapter.variant, "shape": list(adapter.shape)}
-    return _fit_adapters({"adapter": adapter},
-                         lambda blocks: _recovery_objective(blocks, task.target),
-                         cfg, config, summary)
+    adapters = {"adapter": adapter}
+    opt, blocks = _own(adapters, cfg)
+    return _fit_adapters(adapters, opt, blocks, _recovery_objective(blocks[0], task.target),
+                         config, summary)
 
 
 def ablate_schemes(schemes, families, cfg: OptimizerConfig, targets, master_seed=0,
@@ -835,25 +848,26 @@ def _mlp_loss_and_grads(weights, x, y, n_classes, grads):
 
     Only what the loss reads is formed: the last layer's first ``n_classes``
     rows, whose gradient fills those rows (the other rows are set to exactly
-    zero), and no gradient with respect to the input ``x``.
+    zero), and no gradient with respect to the input ``x``. Each hidden
+    activation becomes its layer's ``dz`` in place once nothing reads it.
     """
     activations = _mlp_forward(weights, x, n_classes)
-    scores = activations[-1]
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    n = x.shape[0]
-    loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
-    dscores = probs.copy()
-    dscores[np.arange(n), y] -= 1.0
+    dscores = activations[-1]
+    dscores = np.exp(dscores - dscores.max(axis=1, keepdims=True))
+    dscores /= dscores.sum(axis=1, keepdims=True)
+    n, rows = x.shape[0], (np.arange(x.shape[0]), y)
+    loss = float(-np.mean(np.log(dscores[rows] + 1e-300)))
+    dscores[rows] -= 1.0
     dscores /= n
     last = len(weights) - 1
     np.matmul(dscores.T, activations[last], out=grads[last][:n_classes])
     grads[last][n_classes:] = 0.0
     dh = dscores @ weights[last][:n_classes]
     for layer in range(last - 1, -1, -1):
-        out = activations[layer + 1]
-        dz = dh * (1.0 - out * out)
+        dz = activations[layer + 1]  # out, read for the last time: dh * (1 - out^2)
+        dz *= dz
+        np.subtract(1.0, dz, out=dz)
+        dz *= dh
         np.matmul(dz.T, activations[layer], out=grads[layer])
         if layer > 0:
             dh = dz @ weights[layer]
@@ -1044,22 +1058,21 @@ def fit_mlp_adapt(
             weights[layer] = weights[layer] + deltas[name]
         return weights
 
-    def objective_for(blocks):
-        # backprop writes each block's gradients into its upstream stack
-        upstreams = [np.empty((len(b.names),) + b.adapters[0].shape) for b in blocks]
-        weight_grads = [np.empty_like(w) for w in task.base_weights]
+    named = {name: adapters[layer] for name, layer in layers.items()}
+    opt, blocks = _own(named, cfg)
+    # backprop writes each block's weight gradients into its upstream stack
+    upstreams = [np.empty((len(b.names),) + b.adapters[0].shape) for b in blocks]
+    weight_grads = [np.empty_like(w) for w in task.base_weights]
+    for b, upstream in zip(blocks, upstreams):
+        for name, u in zip(b.names, upstream):
+            weight_grads[layers[name]] = u
+
+    def objective():
+        deltas = {name: d for b in blocks for name, d in zip(b.names, b.deltas())}
+        loss, _ = _mlp_loss_and_grads(adapted(deltas), x, y, task.n_classes, weight_grads)
         for b, upstream in zip(blocks, upstreams):
-            for name, u in zip(b.names, upstream):
-                weight_grads[layers[name]] = u
-
-        def objective():
-            deltas = {name: d for b in blocks for name, d in zip(b.names, b.deltas())}
-            loss, _ = _mlp_loss_and_grads(adapted(deltas), x, y, task.n_classes, weight_grads)
-            for b, upstream in zip(blocks, upstreams):
-                b.backward(upstream)
-            return loss, deltas
-
-        return objective
+            b.backward(upstream)
+        return loss, deltas
 
     def summary(deltas, loss):
         weights = adapted(deltas)
@@ -1072,8 +1085,7 @@ def fit_mlp_adapt(
     config = {"task": task.describe(), "optimizer": cfg.to_dict(), "family": family,
               "rank": rank, "scheme": None if scheme is None else scheme.to_dict(),
               "adapter_seed": adapter_seed}
-    named = {name: adapters[layer] for name, layer in layers.items()}
-    return _fit_adapters(named, objective_for, cfg, config, summary), adapters
+    return _fit_adapters(named, opt, blocks, objective, config, summary), adapters
 
 
 def finetune_full(task: MlpAdaptTask, cfg: OptimizerConfig):

@@ -53,6 +53,7 @@ def entry(parent, change, better="higher"):
 
 
 PARENT = [10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0]
+NONE_FAILED = {"parent": 0, "change": 0}
 
 
 @pytest.mark.parametrize("change, better, bound, want", [
@@ -76,7 +77,16 @@ PARENT = [10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0]
     ([9.0, 8.5, 9.5, 9.0, 8.6, 9.4, 9.0, 8.7, 9.3, 9.0], "lower", 0.01, "gain"),
 ])
 def test_verdicts(change, better, bound, want):
-    assert bench_summary.verdict(entry(PARENT, change, better), PARENT, change, bound) == want
+    assert bench_summary.verdict(entry(PARENT, change, better), PARENT, change, bound,
+                                 NONE_FAILED) == want
+
+
+def test_no_gain_when_the_change_failed_more_jobs():
+    change = [x * 1.1 for x in PARENT]
+    e = entry(PARENT, change)
+    assert bench_summary.verdict(e, PARENT, change, 0.25, {"parent": 0, "change": 1}) \
+        == "no_worse"
+    assert bench_summary.verdict(e, PARENT, change, 0.25, {"parent": 2, "change": 2}) == "gain"
 
 
 def test_a_change_above_every_parent_run_is_resolved():
@@ -86,9 +96,10 @@ def test_a_change_above_every_parent_run_is_resolved():
     change = [10.1] * 10
     e = entry(parent, change)
     assert e["change"]["median"] - e["parent"]["median"] < e["parent"]["iqr"]
-    assert bench_summary.verdict(e, parent, change, 0.01) == "no_worse"
+    assert bench_summary.verdict(e, parent, change, 0.01, NONE_FAILED) == "no_worse"
     below = [10.1] * 9 + [9.95]
-    assert bench_summary.verdict(entry(parent, below), parent, below, 0.01) == "unresolved"
+    assert bench_summary.verdict(entry(parent, below), parent, below, 0.01,
+                                 NONE_FAILED) == "unresolved"
 
 
 def test_every_end_to_end_metric_gets_a_verdict(tmp_path):
@@ -101,3 +112,8 @@ def test_every_end_to_end_metric_gets_a_verdict(tmp_path):
     metrics = json.loads(out.read_text())["workloads"]["recovery_sweep"]["trace0"]["metrics"]
     assert metrics["jobs_per_s"]["verdict"] == "gain"
     assert metrics["job_ms_p50"]["verdict"] == "gain"
+    # one failed job on the change's side takes the gain away
+    write_result(change, 0, 2.4, failed=1)
+    bench_summary.main([str(parent), str(change), "--out", str(out)])
+    metrics = json.loads(out.read_text())["workloads"]["recovery_sweep"]["trace0"]["metrics"]
+    assert metrics["jobs_per_s"]["verdict"] == "no_worse"

@@ -77,19 +77,13 @@ def count_materializations(monkeypatch):
     return calls
 
 
-def split_like(row, arrays):
-    """A block's row of values cut into views shaped as ``arrays``."""
-    bounds = np.cumsum([a.size for a in arrays])[:-1]
-    return [v.reshape(a.shape) for v, a in zip(np.split(row, bounds), arrays, strict=True)]
-
-
 def recovery_objective_at(adapter, target):
     """``fit_recovery``'s objective evaluated once at the adapter's state:
     its loss, the gradients it wrote, shaped as the trainable arrays, and
     the deltas it formed."""
     _, (block,) = training._own({"adapter": adapter}, OptimizerConfig())
-    loss, deltas = training._recovery_objective([block], target)()
-    return loss, split_like(block.grads[0], adapter.trainable_arrays()), deltas
+    loss, deltas = training._recovery_objective(block, target)()
+    return loss, [g[0] for g in block.grads], deltas
 
 
 class TestTeraGradient:
@@ -189,7 +183,7 @@ class TestStackedGradients:
         def grad_fn(adapter):
             block.backward(block.deltas() - targets)
             k = block.adapters.index(adapter)
-            return split_like(block.grads[k], adapter.trainable_arrays())
+            return [g[k] for g in block.grads]
 
         for a in block.adapters:
             assert finite_difference_check(loss_fn, grad_fn, a) < 1e-5
@@ -371,6 +365,28 @@ class TestOptimizers:
         for i, (param, arr) in enumerate(zip(opt.params, arrays)):
             assert_array_equal(param, 2.0 - i)
             assert_array_equal(arr, 2.0)
+
+    @pytest.mark.parametrize("shapes, message", [
+        ([(8, 2)], r"gradient 1 has shape None, its array \(2, 8\): 1 gradients for 2"),
+        ([(8, 2), (2, 8), (2,)], r"gradient 2 has shape \(2,\), its array None"),
+        ([(2, 8), (2, 8)], r"gradient 0 has shape \(2, 8\), its array \(8, 2\)"),
+    ], ids=["short", "long", "wrong-shape"])
+    def test_gradient_list_must_match_the_arrays(self, monkeypatch, shapes, message):
+        # a family's gradients reach the optimizer's buffer through its
+        # block: a list that is short, long or holds a transposed array of
+        # the right size is refused before anything is written
+        adapter = init_lora(8, 8, 2, seed=0)
+        opt, (block,) = training._own({"adapter": adapter}, OptimizerConfig())
+        before = [a.copy() for a in adapter.trainable_arrays()]
+        monkeypatch.setattr(training, "delta_gradient",
+                            lambda a, upstream: [np.ones(shape) for shape in shapes])
+        with pytest.raises(ValueError, match=message):
+            block.backward(np.ones((1, 8, 8)))
+        assert opt.t == 0
+        for g in block.grads:
+            assert_array_equal(g, 0.0)
+        for got, want in zip(adapter.trainable_arrays(), before, strict=True):
+            assert_array_equal(got, want)
 
 
 class TestRecoveryTasks:

@@ -42,13 +42,15 @@ def spread(values):
     return {"median": statistics.median(values), "iqr": q3 - q1, "n": len(values)}
 
 
-def verdict(entry, parent, change, bound):
+def verdict(entry, parent, change, bound, failed):
     """``gain``, ``worse``, ``unresolved`` or ``no_worse`` for one
-    end-to-end metric, from its summary ``entry`` and each side's runs.
+    end-to-end metric, from its summary ``entry``, each side's runs and
+    each side's count of failed jobs (``failed``).
 
-    ``gain``: the change won at least nine tenths of the pairs (ties count
-    for neither) and its median is better than the parent's by more than
-    the parent's interquartile range. ``worse``: its median is worse than
+    ``gain``: the change failed no more jobs than the parent, won at least
+    nine tenths of the pairs (ties count for neither) and its median is
+    better than the parent's by more than the parent's interquartile
+    range. ``worse``: its median is worse than
     the parent's by more than ``bound`` times the parent's median.
     ``unresolved``: either side's interquartile range is wider than that
     bound, unless every run of the change is better than every run of the
@@ -58,7 +60,8 @@ def verdict(entry, parent, change, bound):
     base = entry["parent"]["median"]
     gap = sign * (entry["change"]["median"] - base)
     limit = bound * abs(base)
-    if entry["change_wins"] >= 0.9 * entry["pairs"] > 0 and gap > entry["parent"]["iqr"]:
+    if (entry["change_wins"] >= 0.9 * entry["pairs"] > 0 and gap > entry["parent"]["iqr"]
+            and failed["change"] <= failed["parent"]):
         return "gain"
     if -gap > limit:
         return "worse"
@@ -93,7 +96,8 @@ def summarize(parent, change, better):
             base = entry["parent"]["median"]
             entry["median_ratio"] = entry["change"]["median"] / base if base else None
             entry["verdict"] = verdict(entry, list(values[0].values()),
-                                       list(values[1].values()), better[name]["bound"])
+                                       list(values[1].values()), better[name]["bound"],
+                                       out["failed"])
         out["metrics"][name] = entry
     return out
 
