@@ -89,7 +89,6 @@ from .analysis import (
     RankReport,
     multiplicative_partitions,
     rank_report,
-    structural_max_rank,
     verify_expressivity_bound,
     verify_param_bound,
     verify_rank_bound,
@@ -165,7 +164,6 @@ __all__ = [
     "verify_param_bound",
     "verify_expressivity_bound",
     "multiplicative_partitions",
-    "structural_max_rank",
     "RankReport",
     "rank_report",
     "__version__",

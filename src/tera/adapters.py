@@ -12,7 +12,8 @@ The four families rest on two algebras:
   scaled on each mode by its d vector and mixed by the factor's transpose,
   unfolded at ``split``. A None factor is the identity (tera_iden's every
   mode, vera's rows) and costs a broadcast multiply. One base class computes
-  ``delta``, ``apply``, ``grads`` and the ALS ``design_matrix`` from that.
+  ``delta``, ``apply`` and ``grads`` from that, and ``_design_matrices``
+  the ALS design matrices of a stack of d vectors.
 * A trainable low-rank product A @ B (lora). HiRA is the same product under
   the element-wise mask of the frozen base weight.
 
@@ -342,13 +343,6 @@ class _ScaledNetwork:
         pulled = _pull(upstream.reshape([1] + _mode_sizes(core, factors)), factors)
         return [g[0] for g in _reduce_by_d_vectors(core * pulled, _stacked(d_vectors))]
 
-    def design_matrix(self, mode):
-        """``(rows*cols) x ranks[mode]`` matrix ``phi`` with
-        ``delta.ravel() == phi @ d_vectors[mode]``: the one-member case of
-        ``_design_matrices``."""
-        core, factors, d_vectors = self.network()
-        return _design_matrices(core, factors, _stacked(d_vectors), mode)[0]
-
 
 def _kron_sides(adapter):
     """``(left, right)``, the Kronecker products of the row and the column
@@ -671,17 +665,16 @@ def init_lora(j1, j2, rank, seed=0):
     return LoraAdapter(a=a, b=np.zeros((rank, j2)), rank=rank)
 
 
-def init_vera(j1, j2, rank, store, d_init=0.1):
+def init_vera(j1, j2, rank, store):
     _check_rank(rank)
     b_frozen, a_frozen = store.vera_pair(j1, j2, rank)
     return VeraAdapter(
         b_frozen=b_frozen,
         a_frozen=a_frozen,
         b=np.zeros(j1),
-        d=np.full(rank, d_init),
+        d=np.full(rank, 0.1),
         rank=rank,
         master_seed=store.master_seed,
-        d_init=d_init,
     )
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from .adapters import (
     FrozenFactorStore,
     TeraAdapter,
-    _checked,
     _kron_delta,
     _kron_sides,
     clone_trainable,
@@ -39,9 +38,7 @@ from .tensor_ops import (
     tensor_spectral_norm,
     unfold,
 )
-from .training import als_approx_error, planted_recovery_task
-
-REPORT_FORMAT_VERSION = 1
+from .training import REPORT_FORMAT_VERSION, _Report, als_approx_error, planted_recovery_task
 
 RANK_BOUND = "rank_bound"
 PARAM_BOUND = "param_count_bound"
@@ -53,7 +50,7 @@ class InstanceRejected(ValueError):
 
 
 @dataclass
-class BoundReport:
+class BoundReport(_Report):
     """Outcome of checking one inequality on one instance (or batch)."""
 
     bound_id: str
@@ -63,18 +60,6 @@ class BoundReport:
     terms: dict
     verdict: str  # holds | violated | inconclusive
     slack: float
-
-    def to_json_dict(self):
-        return {
-            "format_version": REPORT_FORMAT_VERSION,
-            "bound_id": self.bound_id,
-            "instance": self.instance,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "terms": self.terms,
-            "verdict": self.verdict,
-            "slack": self.slack,
-        }
 
 
 def verify_rank_bound(scheme: TensorizationScheme, trials: int, seed=0) -> BoundReport:
@@ -406,29 +391,16 @@ def verify_expressivity_instances(scheme: TensorizationScheme, instances: int,
     return ExpressivitySuite(reports, rejected, bool(planted))
 
 
-def structural_max_rank(adapter) -> int:
-    """Largest numerical rank the adapter's construction permits."""
-    return _checked(adapter).max_rank()
-
-
 RANK_COLUMNS = ("layer", "family", "rank", "max_rank", "tolerance")
 
 
 @dataclass
-class RankReport:
+class RankReport(_Report):
     """Numerical ranks of materialized deltas per layer and family."""
 
     rows: list  # dicts keyed by RANK_COLUMNS
     spectra: dict = field(default_factory=dict)  # "layer/family" -> singular values
     rel_tol: float = 1e-8
-
-    def to_json_dict(self):
-        return {
-            "format_version": REPORT_FORMAT_VERSION,
-            "rel_tol": self.rel_tol,
-            "rows": self.rows,
-            "spectra": self.spectra,
-        }
 
 
 def rank_report(entries, rel_tol: float = 1e-8) -> RankReport:
@@ -444,7 +416,7 @@ def rank_report(entries, rel_tol: float = 1e-8) -> RankReport:
         delta = materialize_delta(adapter)
         svals = np.linalg.svd(delta, compute_uv=False)
         rank = _spectrum_rank(svals, rel_tol)
-        values = (layer, family, rank, structural_max_rank(adapter), rel_tol)
+        values = (layer, family, rank, adapter.max_rank(), rel_tol)
         rows.append(dict(zip(RANK_COLUMNS, values)))
         spectra[f"{layer}/{family}"] = [float(s) for s in svals]
     return RankReport(rows=rows, spectra=spectra, rel_tol=rel_tol)

@@ -162,7 +162,6 @@ def _optimizer_config(args):
         weight_decay=args.weight_decay,
         warmup_steps=args.warmup_steps,
         max_steps=args.max_steps,
-        seed=args.opt_seed,
     )
 
 
@@ -431,7 +430,6 @@ def _add_optimizer_flags(p):
     p.add_argument("--weight-decay", type=float, default=0.0)
     p.add_argument("--warmup-steps", type=int, default=100)
     p.add_argument("--max-steps", type=int, default=1000)
-    p.add_argument("--opt-seed", type=int, default=0)
 
 
 def build_parser():
@@ -542,11 +540,16 @@ def _apply_config_file(parser, argv):
         raise ValueError(f"bad config file {path}: {exc}")
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    doc.pop("format_version", None)
-    doc.pop("command", None)
+    parsed = vars(parser.parse_args(argv))
+    # the header a resolved config carries; either key may be left out
+    for key, expected in (("format_version", CONFIG_FORMAT_VERSION),
+                          ("command", parsed["command"])):
+        value = doc.pop(key, expected)
+        if type(value) is not type(expected) or value != expected:
+            raise ValueError(f"config file {path}: key {key!r} must be {expected!r}, "
+                             f"got {value!r:.40}")
     # a key that names no flag of the command would otherwise be ignored,
     # then echoed into resolved_config.json as if it were a setting
-    parsed = vars(parser.parse_args(argv))
     flags = set(parsed) - {"func", "config", "command", "checkpoint_command"}
     unknown = [k for k in doc if k.replace("-", "_") not in flags]
     if unknown:

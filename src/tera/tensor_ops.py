@@ -286,12 +286,10 @@ def frobenius_norm(tensor: np.ndarray) -> float:
     return float(np.linalg.norm(np.ravel(tensor)))
 
 
-def pseudoinverse(matrix: np.ndarray, rel_cutoff: float = 1e-12) -> np.ndarray:
+def pseudoinverse(matrix: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse, truncating singular values below
-    ``rel_cutoff`` times the largest one."""
-    if rel_cutoff <= 0:
-        raise ValueError("rel_cutoff must be positive")
-    return np.linalg.pinv(np.asarray(matrix, dtype=float), rcond=rel_cutoff)
+    1e-12 times the largest one."""
+    return np.linalg.pinv(np.asarray(matrix, dtype=float), rcond=1e-12)
 
 
 def numerical_rank(matrix: np.ndarray, rel_tol: float = 1e-8) -> int:

@@ -128,7 +128,7 @@ class OptimizerConfig:
     weight_decay: float = 0.0
     warmup_steps: int = 100
     max_steps: int = 1000
-    seed: int = 0
+    seed: int = 0  # echoed into reports; no update reads it
 
     def __post_init__(self):
         if self.algorithm not in ("adamw", "sgd-momentum"):
@@ -272,8 +272,16 @@ def planted_recovery_task(
 # Reports
 
 
+class _Report:
+    """A report dataclass whose JSON document is its fields plus
+    ``format_version``."""
+
+    def to_json_dict(self):
+        return {"format_version": REPORT_FORMAT_VERSION, **dataclasses.asdict(self)}
+
+
 @dataclass
-class TrainReport:
+class TrainReport(_Report):
     """Everything a run produced: curve, final metrics, ranks, config echo.
 
     ``timings`` splits the wall time into phases: ``objective_s`` (loss and
@@ -294,20 +302,6 @@ class TrainReport:
     metrics: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     norms: dict = field(default_factory=dict)
-
-    def to_json_dict(self):
-        return {
-            "format_version": REPORT_FORMAT_VERSION,
-            "final_loss": self.final_loss,
-            "wall_time_seconds": self.wall_time_seconds,
-            "timings": self.timings,
-            "norms": self.norms,
-            "trainable_param_count": self.trainable_param_count,
-            "delta_ranks": self.delta_ranks,
-            "metrics": self.metrics,
-            "config": self.config,
-            "loss_curve": self.loss_curve,
-        }
 
 
 LOSS_COLUMNS = ("step", "loss")
@@ -657,18 +651,17 @@ def als_approx_error(
     extra_starts: int = 3,
     polish_steps: int = 200,
     seed: int = 0,
-    ridge: float = 1e-10,
 ) -> AlsResult:
     """Alternating least squares over the d vectors, handed over to Gauss-Newton.
 
     With all other modes fixed, the delta is linear in one mode's d vector,
     so each subproblem is exact least squares on that mode's design matrix
-    (``TeraAdapter.design_matrix(mode)``). Modes are swept cyclically; the objective is monotone
-    non-increasing within a sweep because each update is an exact minimizer
-    (rank-deficient subproblems fall back to a ridge solve and are kept only
-    if they do not increase the objective). A sweep's objective is the last
-    subproblem's residual ``||w - phi @ d||^2``, so sweeps never materialize
-    the delta.
+    (``adapters._design_matrices``). Modes are swept cyclically; the
+    objective is monotone non-increasing within a sweep because each update
+    is an exact minimizer (rank-deficient subproblems fall back to a ridge
+    solve and are kept only if they do not increase the objective). A
+    sweep's objective is the last subproblem's residual ``||w - phi @ d||^2``,
+    so sweeps never materialize the delta.
 
     Gauss-Newton runs from the first start whose sweep objective is smallest:
     minimum-norm steps with every mode's design matrix side by side as the
@@ -744,7 +737,7 @@ def als_approx_error(
     for n in range(1, sweeps + 1):
         for mode in range(len(ranks)):
             phi = _design_matrices(core, factors, d_stacks, mode)
-            d_stacks[mode], fell_back = _solve_stacked(phi, w_vec, d_stacks[mode], ridge)
+            d_stacks[mode], fell_back = _solve_stacked(phi, w_vec, d_stacks[mode], 1e-10)
             ridge_fallbacks += fell_back
         # the last mode's phi @ solution is each start's delta after this sweep
         residual = w_vec - _matvecs(phi, d_stacks[-1])
@@ -753,17 +746,17 @@ def als_approx_error(
             best, value, d, kept = gauss_newton(sweep_values[-1], phi, residual)
             if value <= floor:
                 break
-    best_values = np.array(sweep_values)[:, best].tolist()
-    stalled = n > 1 and best_values[-2] - best_values[-1] < 64 * eps * best_values[-2]
-
-    return AlsResult(
+    result = AlsResult(
         value=value,
         d_vectors=[x[0].copy() for x in d],
         ridge_fallbacks=ridge_fallbacks,
-        sweep_values=best_values,
+        sweep_values=np.array(sweep_values)[:, best].tolist(),
         polish_steps_kept=kept,
-        stop="floor" if value <= floor else "stalled" if stalled else "sweeps",
     )
+    change = result.last_sweep_rel_change
+    stalled = change is not None and change < 64 * eps
+    result.stop = "floor" if value <= floor else "stalled" if stalled else "sweeps"
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +784,6 @@ class MlpAdaptTask:
     source_test: tuple
     target_train: tuple
     target_test: tuple
-    attach_layers: tuple
     seed: int
     pretrain_config: dict
     layer_sizes: tuple
@@ -801,7 +793,7 @@ class MlpAdaptTask:
             "kind": "mlp-adapt",
             "layer_sizes": list(self.layer_sizes),
             "n_classes": self.n_classes,
-            "attach_layers": list(self.attach_layers),
+            "attach_layers": list(range(len(self.base_weights))),
             "seed": self.seed,
             "pretrain": self.pretrain_config,
             "n_train": int(self.target_train[0].shape[0]),
@@ -810,8 +802,7 @@ class MlpAdaptTask:
 
     def rebuild_args(self):
         """The ``make_mlp_adapt_task`` arguments that rebuild the base weights
-        bit for bit. The pretraining rate is not among them: weights
-        pretrained at another rate than the default fail their checksum."""
+        bit for bit."""
         return dict(layer_sizes=list(self.layer_sizes), n_classes=self.n_classes,
                     n_train=len(self.target_train[1]), n_test=len(self.target_test[1]),
                     seed=self.seed, pretrain_steps=self.pretrain_config["steps"])
@@ -896,9 +887,7 @@ def make_mlp_adapt_task(
     n_train=1024,
     n_test=512,
     seed=0,
-    attach_layers=None,
     pretrain_steps=300,
-    pretrain_lr=1e-2,
 ) -> MlpAdaptTask:
     """Build datasets, pretrain the base MLP on the source task, freeze it.
 
@@ -925,8 +914,6 @@ def make_mlp_adapt_task(
     if pretrain_steps < 0:
         raise ValueError(f"pretrain_steps must be at least 0, got {pretrain_steps}")
     shapes = [(o, i) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])]
-    if attach_layers is None:
-        attach_layers = tuple(range(len(shapes)))
 
     def rng_for(tag):
         return np.random.default_rng(np.random.SeedSequence([tag, int(seed)]))
@@ -960,10 +947,9 @@ def make_mlp_adapt_task(
     weights = [init_rng.standard_normal(s) / math.sqrt(s[1]) for s in shapes]
     pretrain_cfg = OptimizerConfig(
         algorithm="adamw",
-        learning_rate=pretrain_lr,
+        learning_rate=1e-2,
         warmup_steps=min(100, pretrain_steps),
         max_steps=pretrain_steps,
-        seed=seed,
     )
     _train_weights(weights, source_train, n_classes, pretrain_cfg)
     for w in weights:
@@ -976,9 +962,8 @@ def make_mlp_adapt_task(
         source_test=source_test,
         target_train=target_train,
         target_test=target_test,
-        attach_layers=tuple(attach_layers),
         seed=int(seed),
-        pretrain_config={"steps": pretrain_steps, "learning_rate": pretrain_lr},
+        pretrain_config={"steps": pretrain_steps, "learning_rate": pretrain_cfg.learning_rate},
         layer_sizes=tuple(layer_sizes),
     )
 
@@ -994,20 +979,19 @@ def build_adapter(
     seed=0,
     w0=None,
     w0_seed=None,
-    default_mode_size=4,
 ):
     """Construct a zero-delta adapter of the named family.
 
     ``family`` is one of tera, tera_iden, lora, vera, hira. The tensor-network
     families default to a one-sided scheme (row dimension kept whole, column
-    dimension split into equal modes) when no scheme is given. hira masks
+    dimension split into modes of size 4) when no scheme is given. hira masks
     ``w0``, or else the synthetic base weight of ``w0_seed`` (``init_hira``).
     """
     if family in ("tera", "tera_iden", "vera") and store is None:
         raise ValueError(f"{family} needs a frozen-factor store")
     if family in ("tera", "tera_iden"):
         if scheme is None:
-            scheme = TensorizationScheme.one_sided(j1, j2, default_mode_size)
+            scheme = TensorizationScheme.one_sided(j1, j2, 4)
         return init_tera(
             j1, j2, scheme, store, identity_factors=(family == "tera_iden")
         )
@@ -1041,8 +1025,7 @@ def fit_mlp_adapt(
     and shape train as one stack (``_Block``).
     """
     adapters = {}
-    for layer in task.attach_layers:
-        w0 = task.base_weights[layer]
+    for layer, w0 in enumerate(task.base_weights):
         adapters[layer] = build_adapter(family, *w0.shape, store=store, scheme=scheme,
                                         rank=rank, seed=adapter_seed + layer, w0=w0)
         if family == "hira":

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from tera.adapters import _design_matrices, clone_trainable, materialize_delta
+from tera.adapters import _design_matrices, _stacked, clone_trainable, materialize_delta
 from tera.tensor_ops import SpectralNormEstimate, mode_n_product
 from tera.training import (AlsResult, OptimizerConfig, _matvecs, _mlp_loss_and_grads,
                            _solve_stacked, delta_gradient)
@@ -135,12 +135,14 @@ def least_squares_step(phi, w, previous, ridge):
 
 def als_sweeps_by_starts(adapter, target, sweeps=50, extra_starts=3, seed=0, ridge=1e-10):
     """``als_approx_error``'s sweeps, without the polish, one start after
-    another and one ``design_matrix`` and ``lstsq`` per subproblem.
+    another and one one-member ``_design_matrices`` and ``lstsq`` per
+    subproblem.
 
     Returns ``(value, d_vectors, ridge_fallbacks, sweep_values)`` of the
     first start whose final sweep objective is smallest.
     """
     work = clone_trainable(adapter)
+    core, factors, _ = work.network()
     ranks = work.scheme.ranks
     w = np.asarray(target, dtype=float).ravel()
     rng = np.random.default_rng(seed)
@@ -155,7 +157,7 @@ def als_sweeps_by_starts(adapter, target, sweeps=50, extra_starts=3, seed=0, rid
         sweep_values = []
         for _ in range(sweeps):
             for mode in range(len(ranks)):
-                phi = work.design_matrix(mode)
+                phi = _design_matrices(core, factors, _stacked(work.d_vectors), mode)[0]
                 solution, fell_back = least_squares_step(phi, w, work.d_vectors[mode], ridge)
                 fallbacks += fell_back
                 work.d_vectors[mode][:] = solution

@@ -6,6 +6,8 @@ import tera
 from tera.adapters import (
     CheckpointError,
     FrozenFactorStore,
+    _design_matrices,
+    _stacked,
     apply_delta,
     clone_trainable,
     init_hira,
@@ -267,7 +269,7 @@ class TestDesignMatrix:
         factors = explicit_factors(a)
         delta = materialize_delta(a).ravel()
         for mode in range(scheme.order):
-            phi = a.design_matrix(mode)
+            phi = _design_matrices(a.core, a.network()[1], _stacked(a.d_vectors), mode)[0]
             expected = tera_design_by_loops(a.core, factors, a.d_vectors, scheme.split, mode)
             assert phi.shape == (scheme.rows * scheme.cols, scheme.ranks[mode])
             assert np.linalg.norm(phi - expected) <= 1e-12 * np.linalg.norm(expected)

@@ -22,7 +22,6 @@ from tera.analysis import (
     multiplicative_partitions,
     numerical_rank,
     rank_report,
-    structural_max_rank,
     verify_expressivity_bound,
     verify_param_bound,
     verify_rank_bound,
@@ -353,7 +352,7 @@ class TestRankReport:
         report = rank_report(entries)
         for row, (_, _, adapter) in zip(report.rows, entries):
             assert row["rank"] <= row["max_rank"]
-            assert row["max_rank"] == structural_max_rank(adapter)
+            assert row["max_rank"] == adapter.max_rank()
         by_family = {row["family"]: row for row in report.rows}
         assert by_family["tera"]["max_rank"] == 8
         assert by_family["lora"]["max_rank"] == 2

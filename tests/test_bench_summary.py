@@ -44,6 +44,23 @@ def test_medians_iqr_and_pair_wins(tmp_path):
     assert run["metrics"]["job_ms_p50"]["change_wins"] == 3
 
 
+def test_source_size_of_each_checkout(tmp_path):
+    # the parent checkout has src/tera, the change's bench directory stands alone
+    parent, change = tmp_path / "parent" / ".bench_out", tmp_path / "change"
+    (tmp_path / "parent").mkdir()
+    package = tmp_path / "parent" / "src" / "tera"
+    package.mkdir(parents=True)
+    (package / "a.py").write_bytes(b"x = 1\ny = 2\n")
+    (package / "b.py").write_bytes(b"z = 3\n")
+    (package / "notes.txt").write_bytes(b"not counted\n")
+    write_result(parent, 0, 2.0)
+    write_result(change, 0, 2.0)
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main([str(parent), str(change), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["source_size"] == {
+        "parent": {"lines": 3, "bytes": 18}}
+
+
 def entry(parent, change, better="higher"):
     """A summary entry as ``summarize`` builds it, pairing runs by index."""
     sign = 1 if better == "higher" else -1

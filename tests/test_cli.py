@@ -255,6 +255,9 @@ class TestFit:
         ({"family": "lora", "max_steps": None}, "max_steps"),
         ({"family": "lora", "lr": "fast"}, "lr"),
         ({"family": "lorra"}, "family"),
+        ({"family": "lora", "format_version": 99}, "format_version"),
+        ({"family": "lora", "format_version": "1"}, "format_version"),
+        ({"family": "lora", "command": "verify"}, "command"),
     ])
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, doc, key):
         config = tmp_path / "run.json"
@@ -660,28 +663,36 @@ class TestAblate:
             blobs.append((out / "ablation.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_adapter_seed_is_no_setting(self, tmp_path, capsys):
-        # the tensor-network families take no adapter seed, so ablate offers
-        # none: neither the flag nor a config key naming it is accepted
-        args = ["ablate", "--schemes", "16|4,4", "--shape", "16x16", "--targets", "1",
-                "--max-steps", "5"]
+    @pytest.mark.parametrize("args, flag", [
+        # the tensor-network families take no adapter seed
+        (["ablate", "--schemes", "16|4,4", "--shape", "16x16", "--targets", "1"],
+         "--adapter-seed"),
+        # the optimizer draws no random numbers
+        (["ablate", "--schemes", "16|4,4", "--shape", "16x16", "--targets", "1"],
+         "--opt-seed"),
+        (["fit", "--family", "tera", "--shape", "16x16"], "--opt-seed"),
+    ])
+    def test_seed_that_drives_nothing_is_no_setting(self, tmp_path, capsys, args, flag):
+        # neither the flag nor a config key naming it is accepted
+        args = args + ["--max-steps", "5"]
+        key = flag[2:].replace("-", "_")
         with pytest.raises(SystemExit) as exc:
-            main(args + ["--adapter-seed", "7", "--out", str(tmp_path / "flag")])
+            main(args + [flag, "7", "--out", str(tmp_path / "flag")])
         assert exc.value.code == 2
-        assert "--adapter-seed" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
         assert not (tmp_path / "flag").exists()
 
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"adapter_seed": 7}))
+        config.write_text(json.dumps({key: 7}))
         rc = main(args + ["--config", str(config), "--out", str(tmp_path / "key")])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "adapter_seed" in err
+        assert err.startswith("error: ") and key in err
         assert not (tmp_path / "key").exists()
 
         assert main(args + ["--out", str(tmp_path / "run")]) == EXIT_OK
         resolved = json.loads((tmp_path / "run" / "resolved_config.json").read_text())
-        assert "adapter_seed" not in resolved
+        assert key not in resolved
 
 
 class TestCheckpointInspect:

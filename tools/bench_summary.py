@@ -6,7 +6,9 @@ Given the two directories, this writes, per workload and metric, the median,
 the interquartile range and the count of each side, and for the end-to-end
 metrics the seeds both sides ran: how many of those pairs the change won,
 the ratio of the medians and a ``verdict`` (see ``verdict``). The
-environment block of the runs is copied in as recorded. Usage, from the root
+environment block of the runs is copied in as recorded, and ``source_size``
+holds the line and byte counts of ``src/tera/*.py`` in each checkout that
+has one (the directory holding its ``.bench_out/``). Usage, from the root
 of a checkout:
 
     python3 tools/bench_summary.py PARENT/.bench_out CHANGE/.bench_out --out BENCH.json
@@ -31,6 +33,16 @@ def load_runs(directory):
     if not runs:
         raise SystemExit(f"error: no result files in {directory}")
     return runs
+
+
+def source_size(directory):
+    """``{"lines", "bytes"}`` of ``src/tera/*.py`` in the checkout that holds
+    the ``.bench_out/`` ``directory``, or None when it has no such files."""
+    files = sorted((Path(directory).resolve().parent / "src" / "tera").glob("*.py"))
+    if not files:
+        return None
+    texts = [p.read_bytes() for p in files]
+    return {"lines": sum(t.count(b"\n") for t in texts), "bytes": sum(map(len, texts))}
 
 
 def spread(values):
@@ -117,6 +129,8 @@ def main(argv=None):
         "environment": first["details"]["environment"],
         "workloads": {},
     }
+    sizes = {side: source_size(getattr(args, side)) for side in ("parent", "change")}
+    doc["source_size"] = {side: size for side, size in sizes.items() if size}
     for key in sorted(set(parent) & set(change)):
         workload, trace = key
         doc["workloads"].setdefault(workload, {})[f"trace{trace}"] = summarize(
