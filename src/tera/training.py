@@ -273,11 +273,12 @@ def planted_recovery_task(
 
 
 class _Report:
-    """A report dataclass whose JSON document is its fields plus
-    ``format_version``."""
+    """A report dataclass whose JSON document is its fields (not copied)
+    plus ``format_version``."""
 
     def to_json_dict(self):
-        return {"format_version": REPORT_FORMAT_VERSION, **dataclasses.asdict(self)}
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {"format_version": REPORT_FORMAT_VERSION, **fields}
 
 
 @dataclass

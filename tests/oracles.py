@@ -135,7 +135,7 @@ def least_squares_step(phi, w, previous, ridge):
 
 def als_sweeps_by_starts(adapter, target, sweeps=50, extra_starts=3, seed=0, ridge=1e-10):
     """``als_approx_error``'s sweeps, without the polish, one start after
-    another and one one-member ``_design_matrices`` and ``lstsq`` per
+    another and one single-member ``_design_matrices`` and ``lstsq`` per
     subproblem.
 
     Returns ``(value, d_vectors, ridge_fallbacks, sweep_values)`` of the
