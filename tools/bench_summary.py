@@ -38,7 +38,7 @@ def load_runs(directory):
 def source_size(directory):
     """``{"lines", "bytes"}`` of ``src/tera/*.py`` in the checkout that holds
     the ``.bench_out/`` ``directory``, or None when it has no such files."""
-    files = sorted((Path(directory).resolve().parent / "src" / "tera").glob("*.py"))
+    files = list((Path(directory).resolve().parent / "src" / "tera").glob("*.py"))
     if not files:
         return None
     texts = [p.read_bytes() for p in files]
