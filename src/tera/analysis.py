@@ -355,7 +355,7 @@ class ExpressivitySuite:
                   for verdict in ("holds", "inconclusive", "violated")}
         return {"format_version": REPORT_FORMAT_VERSION, "bound_id": EXPRESSIVITY_BOUND,
                 "instances": len(self.reports), **counts, "rejected": self.rejected,
-                "planted": self.planted, "reports": [r.to_json_dict() for r in self.reports]}
+                "planted": self.planted, "reports": [r.fields() for r in self.reports]}
 
 
 def verify_expressivity_instances(scheme: TensorizationScheme, instances: int,

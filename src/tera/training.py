@@ -34,6 +34,7 @@ from .adapters import (
     _checked,
     _design_matrices,
     _mode_sizes,
+    _outer,
     _pull,
     _reduce_by_d_vectors,
     _scale_modes,
@@ -276,9 +277,13 @@ class _Report:
     """A report dataclass whose JSON document is its fields (not copied)
     plus ``format_version``."""
 
+    def fields(self):
+        """The dataclass fields by name, as a report nested in another
+        document writes them."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+
     def to_json_dict(self):
-        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        return {"format_version": REPORT_FORMAT_VERSION, **fields}
+        return {"format_version": REPORT_FORMAT_VERSION, **self.fields()}
 
 
 @dataclass
@@ -615,6 +620,44 @@ def _matvecs(a, x):
     return (a @ x[..., None])[..., 0]
 
 
+# ALS forms its design matrices from one precomputed operator per mode while
+# each holds at most this many entries (rows * cols * prod(ranks)), 512 KiB.
+# Past that the GEMM costs more than forming them directly (timeit, 7 starts:
+# 0.75x the direct time at 2**16 entries, 2.4x at 2**18), and memory grows.
+_DESIGN_OPERATOR_MAX_ENTRIES = 1 << 16
+
+
+def _operator_designs(core, factors):
+    """``design(d_stacks, mode)``, equal up to rounding to
+    ``_design_matrices(core, factors, d_stacks, mode)``.
+
+    The delta is multilinear in the d vectors, so every member's design
+    matrix on mode m is the outer product of its other modes' d vectors
+    (``_outer``) times a fixed operator ``K_m`` of shape (product of the
+    other ranks, ``rows * cols * ranks[m]``): one GEMM for the whole stack.
+    Every ``K_m`` is a transpose of one ``(r_0, ..., r_{n-1}, rows * cols)``
+    tensor, mode 0's design matrices on a one-hot stack over the other
+    modes' ranks. Above ``_DESIGN_OPERATOR_MAX_ENTRIES`` entries per
+    operator, ``design`` is ``_design_matrices`` itself.
+    """
+    ranks = core.shape
+    if core.size * math.prod(_mode_sizes(core, factors)) > _DESIGN_OPERATOR_MAX_ENTRIES:
+        return lambda d_stacks, mode: _design_matrices(core, factors, d_stacks, mode)
+    members = math.prod(ranks[1:])
+    grid = np.indices(ranks[1:]).reshape(len(ranks) - 1, members)
+    one_hot = [np.zeros((members, ranks[0]))] + [np.eye(r)[g] for r, g in zip(ranks[1:], grid)]
+    full = _design_matrices(core, factors, one_hot, 0)  # (members, rows * cols, r_0)
+    full = np.moveaxis(full, -1, 0).reshape(ranks + (-1,))
+    operators = [np.moveaxis(full, m, -1).reshape(-1, full.shape[-1] * r)
+                 for m, r in enumerate(ranks)]
+
+    def design(d_stacks, mode):
+        others = _outer(d_stacks[:mode] + d_stacks[mode + 1:])
+        return (others @ operators[mode]).reshape(len(others), -1, ranks[mode])
+
+    return design
+
+
 def _solve_stacked(phi, w, previous, ridge):
     """Least squares ``min ||w - phi[s] @ x||`` for every member s of a
     ``(members, rows, r)`` stack, from one SVD of the stack.
@@ -657,11 +700,11 @@ def als_approx_error(
 
     With all other modes fixed, the delta is linear in one mode's d vector,
     so each subproblem is exact least squares on that mode's design matrix
-    (``adapters._design_matrices``). Modes are swept cyclically; the
-    objective is monotone non-increasing within a sweep because each update
-    is an exact minimizer (rank-deficient subproblems fall back to a ridge
-    solve and are kept only if they do not increase the objective). A
-    sweep's objective is the last subproblem's residual ``||w - phi @ d||^2``,
+    (built as described below). Modes are swept cyclically; the objective
+    is monotone non-increasing within a sweep because each update is an
+    exact minimizer (rank-deficient subproblems fall back to a ridge solve
+    and are kept only if they do not increase the objective). A sweep's
+    objective is the last subproblem's residual ``||w - phi @ d||^2``,
     so sweeps never materialize the delta.
 
     Gauss-Newton runs from the first start whose sweep objective is smallest:
@@ -681,10 +724,20 @@ def als_approx_error(
     Multiple starts matter: the zero-initialized state is a stationary point
     where every subproblem for the other modes degenerates, so ALS begins
     from all-ones plus ``extra_starts`` random d assignments. The starts run
-    stacked: each mode's d vectors are one ``(starts, rank)`` array, and each
-    subproblem builds every start's design matrix in one contraction
-    (``adapters._design_matrices``) and solves them all with one SVD of the
-    stack (``_solve_stacked``).
+    stacked: each mode's d vectors are one ``(starts, rank)`` array, and one
+    SVD of the stack of design matrices solves each subproblem for every
+    start (``_solve_stacked``).
+
+    The design matrices come from one precomputed operator per mode
+    (``_operator_designs``): mode m's, for every start at once, are the
+    outer product of the other modes' d vectors times a fixed
+    ``(prod of the other ranks, rows * cols * ranks[m])`` operator, one
+    GEMM. Each call builds the operators once, all from one evaluation of
+    ``_design_matrices``, and every sweep subproblem, Gauss-Newton Jacobian
+    and trial matrix then reads them. An operator holds
+    ``rows * cols * prod(ranks)`` entries; above
+    ``_DESIGN_OPERATOR_MAX_ENTRIES`` the design matrices are formed
+    directly by ``_design_matrices``, which agrees to rounding.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
@@ -701,6 +754,7 @@ def als_approx_error(
         raise ValueError("target holds non-finite values")
 
     core, factors, _ = adapter.network()
+    design = _operator_designs(core, factors)
     ranks = adapter.scheme.ranks
     w_vec = target.ravel()
     rng = np.random.default_rng(seed)
@@ -719,11 +773,10 @@ def als_approx_error(
         value = before = float(values[best])
         kept, fast = 0, True
         while fast and kept < polish_steps and value > floor:
-            jacobian = np.hstack([_design_matrices(core, factors, d, m)[0]
-                                  for m in range(len(ranks) - 1)] + [last])
+            jacobian = np.hstack([design(d, m)[0] for m in range(len(ranks) - 1)] + [last])
             step = np.linalg.lstsq(jacobian, res, rcond=None)[0]
             trial = [x + s for x, s in zip(d, np.split(step, np.cumsum(ranks)[:-1]))]
-            trial_last = _design_matrices(core, factors, trial, len(ranks) - 1)[0]
+            trial_last = design(trial, len(ranks) - 1)[0]
             trial_res = w_vec - trial_last @ trial[-1][0]
             trial_value = float(trial_res @ trial_res)
             if not trial_value < value:
@@ -737,7 +790,7 @@ def als_approx_error(
     ridge_fallbacks, sweep_values = 0, []  # sweep_values: (starts,) per sweep
     for n in range(1, sweeps + 1):
         for mode in range(len(ranks)):
-            phi = _design_matrices(core, factors, d_stacks, mode)
+            phi = design(d_stacks, mode)
             d_stacks[mode], fell_back = _solve_stacked(phi, w_vec, d_stacks[mode], 1e-10)
             ridge_fallbacks += fell_back
         # the last mode's phi @ solution is each start's delta after this sweep

@@ -27,7 +27,7 @@ import numpy as np
 from tera.adapters import _design_matrices, _stacked, clone_trainable, materialize_delta
 from tera.tensor_ops import SpectralNormEstimate, mode_n_product
 from tera.training import (AlsResult, OptimizerConfig, _matvecs, _mlp_loss_and_grads,
-                           _solve_stacked, delta_gradient)
+                           _operator_designs, _solve_stacked, delta_gradient)
 
 
 def unfold_by_enumeration(tensor, split):
@@ -171,12 +171,13 @@ def als_sweeps_by_starts(adapter, target, sweeps=50, extra_starts=3, seed=0, rid
 
 def als_every_sweep(adapter, target, sweeps=50, extra_starts=3, polish_steps=200, seed=0,
                     ridge=1e-10):
-    """``als_approx_error`` before the hand-over: the same stacked sweeps,
-    all ``sweeps`` of them, then one Gauss-Newton polish from the best start
-    that stops only at the first step that does not lower the objective,
-    after ``polish_steps`` steps, or at the rounding floor. Returns an
-    ``AlsResult``."""
+    """``als_approx_error`` before the hand-over: the same stacked sweeps on
+    the same design matrices (``_operator_designs``), all ``sweeps`` of them,
+    then one Gauss-Newton polish from the best start that stops only at the
+    first step that does not lower the objective, after ``polish_steps``
+    steps, or at the rounding floor. Returns an ``AlsResult``."""
     core, factors, _ = adapter.network()
+    design = _operator_designs(core, factors)
     ranks = adapter.scheme.ranks
     target = np.asarray(target, dtype=float)
     w_vec = target.ravel()
@@ -187,7 +188,7 @@ def als_every_sweep(adapter, target, sweeps=50, extra_starts=3, polish_steps=200
     ridge_fallbacks, sweep_values = 0, []
     for _ in range(sweeps):
         for mode in range(len(ranks)):
-            phi = _design_matrices(core, factors, d_stacks, mode)
+            phi = design(d_stacks, mode)
             d_stacks[mode], fell_back = _solve_stacked(phi, w_vec, d_stacks[mode], ridge)
             ridge_fallbacks += fell_back
         residual = w_vec - _matvecs(phi, d_stacks[-1])
@@ -199,11 +200,10 @@ def als_every_sweep(adapter, target, sweeps=50, extra_starts=3, polish_steps=200
     floor = 64 * np.finfo(float).eps ** 2 * float(np.sum(target * target))
     last, residual, kept = phi[best], residual[best], 0
     while kept < polish_steps and best_value > floor:
-        jacobian = np.hstack([_design_matrices(core, factors, best_d, m)[0]
-                              for m in range(len(ranks) - 1)] + [last])
+        jacobian = np.hstack([design(best_d, m)[0] for m in range(len(ranks) - 1)] + [last])
         step = np.linalg.lstsq(jacobian, residual, rcond=None)[0]
         trial = [d + s for d, s in zip(best_d, np.split(step, np.cumsum(ranks)[:-1]))]
-        trial_last = _design_matrices(core, factors, trial, len(ranks) - 1)[0]
+        trial_last = design(trial, len(ranks) - 1)[0]
         trial_residual = w_vec - trial_last @ trial[-1][0]
         value = float(trial_residual @ trial_residual)
         if not value < best_value:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tera import analysis
+from tera import analysis, training
 from tera.adapters import (
     FrozenFactorStore,
     init_lora,
@@ -219,6 +219,27 @@ class TestExpressivityBound:
             assert report.terms["als_value_before_polish"] == swept.value
             assert report.verdict == (
                 "holds" if reference <= report.rhs + report.terms["tolerance"] else "inconclusive")
+
+    @pytest.mark.parametrize("planted", [True, False])
+    def test_direct_design_matrices_give_the_same_verdicts(self, monkeypatch, planted):
+        # above the operators' size limit ALS forms every design matrix
+        # directly (a limit of 0 forces it): lhs within 1e-10 ||T||^2 of the
+        # operators' lhs, the same ridge fallbacks and the same verdict
+        rng = np.random.default_rng(21)
+        for trial in range(4):
+            store = FrozenFactorStore(trial + 50)
+            adapter = init_tera(8, 8, EIGHT, store)
+            if planted:
+                target = planted_recovery_task(EIGHT, store, seed=trial).target
+            else:
+                target = rng.standard_normal((8, 8))
+            operator = verify_expressivity_bound(target, adapter, seed=trial)
+            with monkeypatch.context() as patched:
+                patched.setattr(training, "_DESIGN_OPERATOR_MAX_ENTRIES", 0)
+                direct = verify_expressivity_bound(target, adapter, seed=trial)
+            assert abs(direct.lhs - operator.lhs) <= 1e-10 * float(np.sum(target * target))
+            assert direct.terms["als_ridge_fallbacks"] == operator.terms["als_ridge_fallbacks"]
+            assert direct.verdict == operator.verdict
 
     def test_subspace_residual_matches_projector_oracle(self):
         adapter = eight_by_eight_adapter(master_seed=20)

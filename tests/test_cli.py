@@ -597,6 +597,21 @@ class TestVerify:
             outs.append((out / "expressivity_instances.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_expressivity_json_has_one_format_version(self, tmp_path, capsys):
+        # the suite carries format_version; its nested instance reports do not
+        outs = []
+        for name in ["v1", "v2"]:
+            out = tmp_path / name
+            rc = main(["verify", "--bound", "expressivity", "--instances", "3",
+                       "--out", str(out)])
+            assert rc == EXIT_OK
+            outs.append((out / "expressivity_bound.json").read_bytes())
+        assert outs[0] == outs[1]
+        assert outs[0].count(b'"format_version"') == 1
+        doc = json.loads(outs[0])
+        assert doc["format_version"] == 1 and len(doc["reports"]) == 3
+        assert all("format_version" not in r for r in doc["reports"])
+
     def test_instances_below_one_exit_2(self, tmp_path, capsys):
         out = tmp_path / "v"
         rc = main(["verify", "--bound", "expressivity", "--instances", "-1",

@@ -8,6 +8,7 @@ from tera.adapters import (
     FrozenFactorStore,
     StoreEntry,
     TeraAdapter,
+    _design_matrices,
     init_hira,
     init_lora,
     init_tera,
@@ -593,20 +594,26 @@ class TestAls:
     def test_polish_evaluates_each_iterate_once(self, monkeypatch):
         # A Gauss-Newton step builds the design matrices of all modes but the
         # last, whose matrix the previous trial's objective left behind, and
-        # evaluates its trial with one more: order builds per step tried. The
+        # evaluates its trial with one more: order builds per step tried,
+        # each one evaluation of the design helper (_operator_designs). The
         # steps kept never exceed polish_steps, and with none the result is
         # the sweeps' own. One sweep makes one Gauss-Newton run: the probe
         # after sweep 1 is the polish after the last sweep.
         adapter = init_tera(4, 4, SMALL, FrozenFactorStore(14))
         target = gaussian_recovery_task(4, 4, seed=14).target
         builds = []
-        original = training._design_matrices
+        original = training._operator_designs
 
-        def counted(*args, **kwargs):
-            builds.append(1)
-            return original(*args, **kwargs)
+        def counted_designs(core, factors):
+            design = original(core, factors)
 
-        monkeypatch.setattr(training, "_design_matrices", counted)
+            def counted(d_stacks, mode):
+                builds.append(1)
+                return design(d_stacks, mode)
+
+            return counted
+
+        monkeypatch.setattr(training, "_operator_designs", counted_designs)
         unpolished = als_approx_error(adapter, target, sweeps=1, polish_steps=0)
         sweep_builds = len(builds)
         assert sweep_builds == SMALL.order
@@ -823,6 +830,62 @@ class TestAls:
         assert abs(result.value - value) <= 1e-10 * scale
         assert_allclose(result.sweep_values, sweep_values, rtol=0, atol=1e-10 * scale)
         assert result.ridge_fallbacks == fallbacks
+
+    @pytest.mark.parametrize("scheme,identity", ALS_CASES, ids=[
+        f"{s.mode_sizes}-split{s.split}-ranks{s.ranks}" + ("-identity" if i else "")
+        for s, i in ALS_CASES])
+    @pytest.mark.parametrize("members", [7, 1])
+    def test_operator_designs_match_the_direct_design_matrices(self, scheme, identity,
+                                                               members):
+        # a stack of starts, and the one member of a Gauss-Newton step, on
+        # every mode: the operator's GEMM sums in another order than the
+        # direct contraction, so the two agree to a few eps relative
+        adapter = init_tera(scheme.rows, scheme.cols, scheme, FrozenFactorStore(62),
+                            identity_factors=identity)
+        core, factors, _ = adapter.network()
+        assert core.size * scheme.rows * scheme.cols <= training._DESIGN_OPERATOR_MAX_ENTRIES
+        design = training._operator_designs(core, factors)
+        rng = np.random.default_rng(members)
+        d_stacks = [rng.standard_normal((members, r)) for r in scheme.ranks]
+        for mode in range(scheme.order):
+            want = _design_matrices(core, factors, d_stacks, mode)
+            got = design(d_stacks, mode)
+            assert got.shape == want.shape == (members, scheme.rows * scheme.cols,
+                                               scheme.ranks[mode])
+            assert np.linalg.norm(got - want) <= 8 * np.finfo(float).eps * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("scheme,identity", ALS_CASES, ids=[
+        f"{s.mode_sizes}-split{s.split}-ranks{s.ranks}" + ("-identity" if i else "")
+        for s, i in ALS_CASES])
+    def test_direct_designs_above_the_size_limit_match_the_operators(self, monkeypatch,
+                                                                     scheme, identity):
+        # with the limit at 0 every design matrix is formed directly; the
+        # results agree with the operator path's to 1e-10 ||T||^2
+        store = FrozenFactorStore(63)
+        adapter = init_tera(scheme.rows, scheme.cols, scheme, store, identity_factors=identity)
+        targets = (planted_recovery_task(scheme, store, seed=4, identity_factors=identity).target,
+                   gaussian_recovery_task(scheme.rows, scheme.cols, seed=4).target)
+        direct_builds = []
+        original = training._design_matrices
+
+        def counted(*args):
+            direct_builds.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(training, "_design_matrices", counted)
+        for target in targets:
+            operator = als_approx_error(adapter, target, sweeps=8, seed=2)
+            assert len(direct_builds) == 1  # the operators' one evaluation
+            with monkeypatch.context() as patched:
+                patched.setattr(training, "_DESIGN_OPERATOR_MAX_ENTRIES", 0)
+                direct = als_approx_error(adapter, target, sweeps=8, seed=2)
+            assert len(direct_builds) > 1
+            direct_builds.clear()
+            scale = float(np.sum(target * target))
+            assert abs(direct.value - operator.value) <= 1e-10 * scale
+            assert_allclose(direct.sweep_values, operator.sweep_values, rtol=0,
+                            atol=1e-10 * scale)
+            assert direct.ridge_fallbacks == operator.ridge_fallbacks
 
     def test_ridge_fallbacks_match_the_sequential_oracle(self):
         # identical factor rows and core slices make every start's mode-0
