@@ -570,6 +570,8 @@ ALS_CASES = [
     (TensorizationScheme((2, 4, 2, 4), split=2), True),
     (TensorizationScheme((4, 2, 2), split=1), True),
 ]
+ALS_CASE_IDS = [f"{s.mode_sizes}-split{s.split}-ranks{s.ranks}" + ("-identity" if i else "")
+                for s, i in ALS_CASES]
 
 
 class TestAls:
@@ -811,9 +813,7 @@ class TestAls:
         for earlier, later in zip(result.sweep_values, result.sweep_values[1:]):
             assert later <= earlier + 1e-12
 
-    @pytest.mark.parametrize("scheme,identity", ALS_CASES, ids=[
-        f"{s.mode_sizes}-split{s.split}-ranks{s.ranks}" + ("-identity" if i else "")
-        for s, i in ALS_CASES])
+    @pytest.mark.parametrize("scheme,identity", ALS_CASES, ids=ALS_CASE_IDS)
     @pytest.mark.parametrize("kind", ["planted", "gaussian"])
     def test_stacked_starts_match_the_sequential_oracle(self, scheme, identity, kind):
         store = FrozenFactorStore(60)
@@ -831,9 +831,7 @@ class TestAls:
         assert_allclose(result.sweep_values, sweep_values, rtol=0, atol=1e-10 * scale)
         assert result.ridge_fallbacks == fallbacks
 
-    @pytest.mark.parametrize("scheme,identity", ALS_CASES, ids=[
-        f"{s.mode_sizes}-split{s.split}-ranks{s.ranks}" + ("-identity" if i else "")
-        for s, i in ALS_CASES])
+    @pytest.mark.parametrize("scheme,identity", ALS_CASES, ids=ALS_CASE_IDS)
     @pytest.mark.parametrize("members", [7, 1])
     def test_operator_designs_match_the_direct_design_matrices(self, scheme, identity,
                                                                members):
@@ -854,9 +852,7 @@ class TestAls:
                                                scheme.ranks[mode])
             assert np.linalg.norm(got - want) <= 8 * np.finfo(float).eps * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("scheme,identity", ALS_CASES, ids=[
-        f"{s.mode_sizes}-split{s.split}-ranks{s.ranks}" + ("-identity" if i else "")
-        for s, i in ALS_CASES])
+    @pytest.mark.parametrize("scheme,identity", ALS_CASES, ids=ALS_CASE_IDS)
     def test_direct_designs_above_the_size_limit_match_the_operators(self, monkeypatch,
                                                                      scheme, identity):
         # with the limit at 0 every design matrix is formed directly; the
