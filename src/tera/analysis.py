@@ -231,7 +231,9 @@ def verify_expressivity_bound(
     ``spectral_not_converged`` when the power method did not stabilize, and
     ``als_stalled`` otherwise. ``als_value_before_polish`` is lhs before
     ALS's Gauss-Newton run, ``als_polish_steps`` the steps it kept and
-    ``als_stop`` why ALS ended (``AlsResult.stop``). A non-finite target
+    ``als_stop`` why ALS ended (``AlsResult.stop``). ``als_svd_solves``
+    counts the ALS subproblems too ill-conditioned for the normal equations,
+    solved by SVD (``AlsResult.svd_solves``). A non-finite target
     raises ``ValueError``.
     """
     if not isinstance(adapter, TeraAdapter):
@@ -312,6 +314,7 @@ def verify_expressivity_bound(
             "als_sweeps": sweeps,
             "als_extra_starts": extra_starts,
             "als_ridge_fallbacks": als.ridge_fallbacks,
+            "als_svd_solves": als.svd_solves,
             "als_last_sweep_rel_change": als.last_sweep_rel_change,
             "als_value_before_polish": als.value_before_polish,
             "als_polish_steps": als.polish_steps_kept,

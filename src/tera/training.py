@@ -588,6 +588,9 @@ class AlsResult:
     ``stop`` says how ALS ended: ``floor`` (at the rounding floor), else
     ``stalled`` when the last sweep lowered the objective by less than
     ``64 * eps`` relative (``last_sweep_rel_change``), or ``sweeps``.
+    ``svd_solves`` counts the sweep subproblems, one per start and mode,
+    solved by SVD instead of the normal equations (``_solve_stacked``);
+    every ridge fallback is one of them.
     """
 
     value: float
@@ -596,6 +599,7 @@ class AlsResult:
     sweep_values: list  # per-sweep objective of the best ALS start
     polish_steps_kept: int = 0
     stop: str = "sweeps"
+    svd_solves: int = 0
 
     @property
     def value_before_polish(self):
@@ -658,9 +662,51 @@ def _operator_designs(core, factors):
     return design
 
 
-def _solve_stacked(phi, w, previous, ridge):
+# A member whose Gram matrix G has ||G||_F * ||G^-1||_F above this, so
+# cond(phi) above about 1e4, is solved by the SVD, not the normal equations.
+_GRAM_CONDITION_LIMIT = 1e8
+
+
+def _solve_stacked(phi, w, previous, ridge, svd_solves=None):
     """Least squares ``min ||w - phi[s] @ x||`` for every member s of a
-    ``(members, rows, r)`` stack, from one SVD of the stack.
+    ``(members, rows, r)`` stack, from the r x r normal equations.
+
+    Every member is solved with the inverse of its Gram matrix
+    ``G = phi[s]^T phi[s]`` (one ``np.linalg.inv`` of the stack), accurate
+    to about ``cond(G) * eps`` relative. Members whose estimate
+    ``||G||_F * ||G^-1||_F`` is above ``_GRAM_CONDITION_LIMIT`` or not
+    finite, or the whole stack when some G is exactly singular, go to
+    ``_solve_by_svd`` instead. Every member that ``np.linalg.lstsq``'s rank
+    rule finds deficient has cond(phi) above ``1 / (eps * max(rows, r))``,
+    far past the limit, so only the SVD runs the ridge fallback. Returns the
+    ``(members, r)`` solutions and the number of members that fell back;
+    the number handed to the SVD is appended to the list ``svd_solves``
+    when one is given.
+    """
+    phi_t = phi.transpose(0, 2, 1)
+    gram = phi_t @ phi
+    rhs = phi_t @ w
+    try:
+        inverse = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        solution, to_svd = np.empty_like(rhs), np.arange(len(phi))
+    else:
+        solution = _matvecs(inverse, rhs)
+        # squared Frobenius norms; a NaN fails the test and goes to the SVD
+        estimate = (np.einsum("sij,sij->s", gram, gram)
+                    * np.einsum("sij,sij->s", inverse, inverse))
+        to_svd = np.flatnonzero(~(estimate <= _GRAM_CONDITION_LIMIT ** 2))
+    if svd_solves is not None:
+        svd_solves.append(to_svd.size)
+    if not to_svd.size:
+        return solution, 0
+    solution[to_svd], fell_back = _solve_by_svd(phi[to_svd], w, previous[to_svd], ridge)
+    return solution, fell_back
+
+
+def _solve_by_svd(phi, w, previous, ridge):
+    """``_solve_stacked`` for the members its normal equations cannot
+    resolve, from one SVD of their stack.
 
     A member's rank counts the singular values above ``eps * max(rows, r)``
     times its largest one (``np.linalg.lstsq``'s ``rcond=None`` rule), and
@@ -724,9 +770,10 @@ def als_approx_error(
     Multiple starts matter: the zero-initialized state is a stationary point
     where every subproblem for the other modes degenerates, so ALS begins
     from all-ones plus ``extra_starts`` random d assignments. The starts run
-    stacked: each mode's d vectors are one ``(starts, rank)`` array, and one
-    SVD of the stack of design matrices solves each subproblem for every
-    start (``_solve_stacked``).
+    stacked: each mode's d vectors are one ``(starts, rank)`` array, and
+    ``_solve_stacked`` solves each subproblem for every start at once from
+    the r x r normal equations, handing the ill-conditioned starts (every
+    rank-deficient one among them) to an SVD; ``svd_solves`` counts those.
 
     The design matrices come from one precomputed operator per mode
     (``_operator_designs``): mode m's, for every start at once, are the
@@ -787,11 +834,12 @@ def als_approx_error(
             kept += 1
         return best, value, d, kept
 
-    ridge_fallbacks, sweep_values = 0, []  # sweep_values: (starts,) per sweep
+    ridge_fallbacks, svd_solves, sweep_values = 0, [], []  # sweep_values: (starts,) per sweep
     for n in range(1, sweeps + 1):
         for mode in range(len(ranks)):
             phi = design(d_stacks, mode)
-            d_stacks[mode], fell_back = _solve_stacked(phi, w_vec, d_stacks[mode], 1e-10)
+            d_stacks[mode], fell_back = _solve_stacked(phi, w_vec, d_stacks[mode], 1e-10,
+                                                       svd_solves)
             ridge_fallbacks += fell_back
         # the last mode's phi @ solution is each start's delta after this sweep
         residual = w_vec - _matvecs(phi, d_stacks[-1])
@@ -806,6 +854,7 @@ def als_approx_error(
         ridge_fallbacks=ridge_fallbacks,
         sweep_values=np.array(sweep_values)[:, best].tolist(),
         polish_steps_kept=kept,
+        svd_solves=sum(svd_solves),
     )
     change = result.last_sweep_rel_change
     stalled = change is not None and change < 64 * eps

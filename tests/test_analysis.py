@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ from numpy.testing import assert_allclose
 from tera import analysis, training
 from tera.adapters import (
     FrozenFactorStore,
+    StoreEntry,
+    TeraAdapter,
     init_lora,
     init_tera,
     init_vera,
@@ -285,6 +288,36 @@ class TestExpressivityBound:
             report.terms["spectral_norm_estimate"] ** 2
             <= report.terms["z_frob_sq"] + 1e-8
         )
+
+    def test_random_target_solves_no_subproblem_by_svd(self):
+        # criterion 4's first random instance: every ALS subproblem is well
+        # conditioned, so the normal equations solve them all
+        rng = np.random.default_rng(1234)
+        for trial in itertools.count():
+            adapter = init_tera(8, 8, EIGHT, FrozenFactorStore(master_seed=trial))
+            target = rng.standard_normal((8, 8))
+            try:
+                report = verify_expressivity_bound(target, adapter, extra_starts=6,
+                                                   seed=trial + 1)
+            except InstanceRejected:
+                continue
+            break
+        assert report.terms["als_svd_solves"] == 0
+        assert report.terms["als_ridge_fallbacks"] == 0
+
+    def test_svd_solves_count_the_deficient_subproblems(self):
+        # the adapter of test_training.py's
+        # test_ridge_fallbacks_match_the_sequential_oracle, whose mode-0
+        # subproblem is deficient for every start: each fallback is an SVD solve
+        rng = np.random.default_rng(15)
+        entry = StoreEntry(core=np.ones((2, 2)),
+                           factors=(np.ones((2, 3)), rng.standard_normal((2, 3))))
+        scheme = TensorizationScheme((3, 3), split=1, ranks=(2, 2))
+        adapter = TeraAdapter(scheme, entry, [np.ones(2), np.ones(2)], 1, 0)
+        target = rng.standard_normal((3, 3))
+        report = verify_expressivity_bound(target, adapter, sweeps=5, polish_steps=0, seed=2)
+        assert report.terms["als_ridge_fallbacks"] == 20
+        assert report.terms["als_svd_solves"] >= 20
 
     def test_terms_record_whether_als_was_still_moving(self):
         adapter = eight_by_eight_adapter(master_seed=24)

@@ -913,6 +913,59 @@ class TestAls:
             assert want_fell_back == (s in (1, 3))
             assert_allclose(solution[s], want, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_stacked_solve_uses_the_normal_equations_on_generic_stacks(self, r):
+        # Gaussian 64 x r members have cond(phi) below 10, so every member is
+        # solved from its Gram matrix, to 1e-12 relative of lstsq's solution
+        rng = np.random.default_rng(40 + r)
+        phi = rng.standard_normal((7, 64, r))
+        w = rng.standard_normal(64)
+        previous = rng.standard_normal((7, r))
+        svd_solves = []
+        solution, fell_back = training._solve_stacked(phi, w, previous, 1e-10, svd_solves)
+        assert fell_back == 0 and svd_solves == [0]
+        for s in range(7):
+            want, want_fell_back = least_squares_step(phi[s], w, previous[s], 1e-10)
+            assert not want_fell_back
+            assert np.linalg.norm(solution[s] - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_stacked_solve_sends_an_ill_conditioned_member_to_the_svd(self):
+        # member 1's columns c and 3c + e have cond(phi) near 1e6: full rank
+        # by lstsq's rule, but past the Gram limit, so it alone is solved by
+        # SVD and matches lstsq without falling back
+        rng = np.random.default_rng(33)
+        phi = rng.standard_normal((3, 64, 2))
+        c = phi[1, :, 0]
+        phi[1, :, 1] = 3 * c + 1e-5 * np.linalg.norm(c) * rng.standard_normal(64) / 8
+        assert 1e5 < np.linalg.cond(phi[1]) < 1e7
+        w = rng.standard_normal(64)
+        previous = rng.standard_normal((3, 2))
+        svd_solves = []
+        solution, fell_back = training._solve_stacked(phi, w, previous, 1e-10, svd_solves)
+        assert fell_back == 0 and svd_solves == [1]
+        for s in range(3):
+            want, want_fell_back = least_squares_step(phi[s], w, previous[s], 1e-10)
+            assert not want_fell_back
+            # an SVD solve is accurate to about cond(phi) * eps relative
+            assert np.linalg.norm(solution[s] - want) <= 1e-8 * np.linalg.norm(want)
+
+    def test_stacked_solve_sends_a_stack_with_a_singular_gram_to_the_svd(self):
+        # a zero column makes member 2's Gram matrix exactly singular, so the
+        # whole stack goes to _solve_by_svd, with its ridge fallback
+        rng = np.random.default_rng(34)
+        phi = rng.standard_normal((4, 20, 3))
+        phi[2, :, 1] = 0.0
+        w = rng.standard_normal(20)
+        previous = rng.standard_normal((4, 3))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(phi[2].T @ phi[2])
+        svd_solves = []
+        solution, fell_back = training._solve_stacked(phi, w, previous, 1e-10, svd_solves)
+        want, want_fell_back = training._solve_by_svd(phi, w, previous, 1e-10)
+        assert svd_solves == [4]
+        assert fell_back == want_fell_back == 1
+        assert_array_equal(solution, want)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_target_refused(self, bad):
         adapter = init_tera(4, 4, SMALL, FrozenFactorStore(0))
