@@ -7,9 +7,9 @@ The package is organised in four layers:
   norm estimation).
 - ``adapters``: the adapter families (tera, lora, vera, hira), the
   shared frozen-factor store, materialization, and checkpoint i/o. Each
-  family is one class with the methods ``delta``, ``apply``, ``grads``,
-  ``max_rank``, ``clone``, ``to_doc`` and ``from_doc``, to which the
-  module-level functions delegate.
+  family is one class with the methods ``deltas`` and ``gradients`` (on
+  stacks of trainable arrays), ``apply``, ``max_rank``, ``to_doc`` and
+  ``from_doc``, to which the module-level functions delegate.
 - ``training``: analytic gradients, finite-difference checking,
   optimizers, recovery and MLP adaptation tasks, the alternating
   least squares estimator, and ``write_json``/``write_csv``, through

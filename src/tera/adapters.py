@@ -12,8 +12,8 @@ The four families rest on two algebras:
   scaled on each mode by its d vector and mixed by the factor's transpose,
   unfolded at ``split``. A None factor is the identity (tera_iden's every
   mode, vera's rows) and costs a broadcast multiply. One base class computes
-  ``delta``, ``apply`` and ``grads`` from that, and ``_design_matrices``
-  the ALS design matrices of a stack of d vectors.
+  ``deltas``, ``apply`` and ``gradients`` from that, and
+  ``_design_matrices`` the ALS design matrices of a stack of d vectors.
 * A trainable low-rank product A @ B (lora). HiRA is the same product under
   the element-wise mask of the frozen base weight.
 
@@ -23,10 +23,13 @@ delta where the structure allows it, and round-trip through JSON checkpoints
 that store only trainable state plus enough provenance to regenerate the
 frozen parts.
 
-Each family is one dataclass with the same methods (``delta``, ``apply``,
-``grads``, ``max_rank``, ``clone``, ``to_doc``, ``from_doc``,
-``trainable_arrays`` and ``bind_trainable``); the module-level functions
-check their arguments and delegate to them. Only
+Each family is one dataclass with the same methods (``deltas``, ``apply``,
+``gradients``, ``max_rank``, ``to_doc``, ``from_doc``, ``trainable_arrays``
+and ``bind_trainable``); the module-level functions check their arguments
+and delegate to them. ``deltas(params)`` and ``gradients(params, upstream,
+out=None)`` take trainable arrays stacked on a leading members axis: a fit
+trains the adapters that share one frozen network as one stack, and a
+single adapter is the one-member stack of its own arrays. Only
 ``materialize_delta`` takes a ``path``: "mode" for every family, "kron" (the
 tensor network's second materialization path) for tera alone.
 ``ADAPTER_TYPES`` maps a checkpoint's ``adapter_type`` to its class.
@@ -211,9 +214,9 @@ def _mode_sizes(core, factors):
     return [r if f is None else f.shape[1] for r, f in zip(core.shape, factors)]
 
 
-def _stacked(d_vectors):
-    """One adapter's d vectors as a one-member stack."""
-    return [d[None] for d in d_vectors]
+def _stacked(arrays):
+    """One adapter's arrays as a one-member stack."""
+    return [x[None] for x in arrays]
 
 
 def _outer(stacks):
@@ -242,17 +245,19 @@ def _pull(tensor, matrices):
 
 def _scale_modes(t, factors, d_stacks, adjoint=False):
     """``t``, shared, times each member's d-scaled factor ``factor.T * d`` or,
-    with ``adjoint``, its transpose ``d[:, None] * factor`` on every mode:
-    one batched matmul per mode (a one-member stack's is its
-    ``mode_n_product``, bit for bit). The factored modes go first, so an
-    identity mode scales the mixed result, as vera's b scales the rows of
-    B @ (d * A)."""
-    members, order = len(d_stacks[0]), t.ndim
+    with ``adjoint``, its transpose ``d[:, None] * factor`` on every mode
+    whose d stack is not None: one batched matmul per mode (a one-member
+    stack's is its ``mode_n_product``, bit for bit). The factored modes go
+    first, so an identity mode scales the mixed result, as vera's b scales
+    the rows of B @ (d * A)."""
+    order = t.ndim
     t = t[None]
     for m in sorted(range(order), key=lambda m: factors[m] is None):
         d, shape = d_stacks[m], t.shape
+        if d is None:
+            continue
         if factors[m] is None:
-            t = t * d.reshape((members,) + (1,) * m + (-1,) + (1,) * (order - m - 1))
+            t = t * d.reshape((len(d),) + (1,) * m + (-1,) + (1,) * (order - m - 1))
             continue
         mix = d[:, :, None] * factors[m] if adjoint else factors[m].T * d[:, None, :]
         before, after = math.prod(shape[1:m + 1]), math.prod(shape[m + 2:])
@@ -260,7 +265,7 @@ def _scale_modes(t, factors, d_stacks, adjoint=False):
             t = t.reshape(len(t), before, shape[m + 1]) @ mix.transpose(0, 2, 1)
         else:
             t = np.matmul(mix[:, None], t.reshape(len(t), before, shape[m + 1], after))
-        t = t.reshape((members,) + shape[1:m + 1] + mix.shape[1:2] + shape[m + 2:])
+        t = t.reshape((len(d),) + shape[1:m + 1] + mix.shape[1:2] + shape[m + 2:])
     return t
 
 
@@ -295,35 +300,29 @@ def _design_matrices(core, factors, d_stacks, mode):
     ``(members, ranks[m])``): ``phi[s] @ d_stacks[mode][s]`` is member s's
     flattened delta.
 
-    The delta is linear in one mode's d vector: scale the core by the outer
-    product of every other mode's d vectors, mix those modes by their
-    factors (one mode product each, shared by all members), then spread the
-    remaining rank index over that mode's factor (an identity factor
-    spreads rank b onto index b).
+    The delta is linear in one mode's d vector: scale and mix every other
+    mode of the core (``_scale_modes``, that mode left as it is), then
+    spread the remaining rank index over that mode's factor (an identity
+    factor spreads rank b onto index b).
     """
-    members, order = len(d_stacks[0]), core.ndim
-    t = core
-    for m, d in enumerate(d_stacks):
-        if m != mode:
-            t = t * d.reshape((members,) + (1,) * m + (-1,) + (1,) * (order - m - 1))
-    for m, f in enumerate(factors):
-        if m != mode and f is not None:
-            t = mode_n_product(t, f.T, m + 1)
+    t = _scale_modes(core, factors, [None if m == mode else d for m, d in enumerate(d_stacks)])
     f = factors[mode]
     mix = np.eye(core.shape[mode]) if f is None else f.T  # (size, rank)
-    spread = [1] * (order + 1) + [mix.shape[1]]
+    spread = [1] * (core.ndim + 1) + [mix.shape[1]]
     spread[mode + 1] = mix.shape[0]
     t = np.expand_dims(np.moveaxis(t, mode + 1, -1), mode + 1)
-    return (t * mix.reshape(spread)).reshape(members, -1, mix.shape[1])
+    return (t * mix.reshape(spread)).reshape(len(t), -1, mix.shape[1])
 
 
 class _ScaledNetwork:
     """The families whose trainable vectors scale a frozen network (tera and
-    vera): everything here is read from ``network()`` and ``split``."""
+    vera): everything here is read from ``network()`` and ``split``; the
+    trainable arrays are the d vectors in mode order."""
 
-    def delta(self):
-        core, factors, d_vectors = self.network()
-        return _scale_modes(core, factors, _stacked(d_vectors)).reshape(self.shape)
+    def deltas(self, params):
+        """``(members, rows, cols)``: one ``_scale_modes`` for the stack."""
+        core, factors, _ = self.network()
+        return _scale_modes(core, factors, params).reshape((-1,) + self.shape)
 
     def apply(self, x):
         # Fold x over the column modes, scale and mix each down to its rank,
@@ -336,12 +335,13 @@ class _ScaledNetwork:
         t = np.tensordot(core, z, axes=(tuple(range(k, order)), tuple(range(order - k))))
         return _scale_modes(t, factors[:k], d_stacks[:k]).ravel()
 
-    def grads(self, upstream):
-        # Pull the upstream through every factor, weight it by the core and
-        # sum against the other modes' d vectors.
-        core, factors, d_vectors = self.network()
-        pulled = _pull(upstream.reshape([1] + _mode_sizes(core, factors)), factors)
-        return [g[0] for g in _reduce_by_d_vectors(core * pulled, _stacked(d_vectors))]
+    def gradients(self, params, upstream, out=None):
+        """Each member's gradients of ``<upstream[s], its delta>``, written
+        into ``out`` when given: every upstream pulled through the factors,
+        weighted by the core and summed against the other modes' d vectors."""
+        core, factors, _ = self.network()
+        pulled = _pull(upstream.reshape([len(upstream)] + _mode_sizes(core, factors)), factors)
+        return _reduce_by_d_vectors(core * pulled, params, out=out)
 
 
 def _kron_sides(adapter):
@@ -423,9 +423,6 @@ class TeraAdapter(_ScaledNetwork):
         s = self.scheme
         return min(s.rank_rows, s.rank_cols, *self.shape)
 
-    def clone(self):
-        return dataclasses.replace(self, d_vectors=[d.copy() for d in self.d_vectors])
-
     def to_doc(self):
         return dict(
             adapter_type="tera", scheme=self.scheme.to_dict(),
@@ -475,20 +472,20 @@ class LoraAdapter:
     def network(self):
         return None  # both factors train: no frozen network
 
-    def delta(self):
-        return self.a @ self.b
+    def deltas(self, params):
+        a, b = params
+        return a @ b
 
     def apply(self, x):
         return self.a @ (self.b @ x)
 
-    def grads(self, upstream):
-        return [upstream @ self.b.T, self.a.T @ upstream]
+    def gradients(self, params, upstream, out=None):
+        (a, b), (grad_a, grad_b) = params, out or (None, None)
+        return [np.matmul(upstream, b.transpose(0, 2, 1), out=grad_a),
+                np.matmul(a.transpose(0, 2, 1), upstream, out=grad_b)]
 
     def max_rank(self):
         return min(self.rank, *self.shape)
-
-    def clone(self):
-        return dataclasses.replace(self, a=self.a.copy(), b=self.b.copy())
 
     def to_doc(self):
         return dict(adapter_type="lora", rank=self.rank, a=self.a.tolist(),
@@ -534,9 +531,6 @@ class VeraAdapter(_ScaledNetwork):
     def max_rank(self):
         return min(self.rank, *self.shape)
 
-    def clone(self):
-        return dataclasses.replace(self, b=self.b.copy(), d=self.d.copy())
-
     def to_doc(self):
         return dict(
             adapter_type="vera", shape=list(self.shape), rank=self.rank,
@@ -569,15 +563,15 @@ class HiraAdapter(LoraAdapter):
 
     family = variant = "hira"
 
-    def delta(self):
-        return (self.a @ self.b) * self.w0
+    def deltas(self, params):
+        return super().deltas(params) * self.w0
 
     def apply(self, x):
         # The Hadamard mask offers no factored route, so this materializes.
-        return self.delta() @ x
+        return materialize_delta(self) @ x
 
-    def grads(self, upstream):
-        return super().grads(upstream * self.w0)
+    def gradients(self, params, upstream, out=None):
+        return super().gradients(params, upstream * self.w0, out)
 
     def max_rank(self):
         return min(self.shape)  # the element-wise product can reach full rank
@@ -672,7 +666,7 @@ def init_vera(j1, j2, rank, store):
         b_frozen=b_frozen,
         a_frozen=a_frozen,
         b=np.zeros(j1),
-        d=np.full(rank, 0.1),
+        d=np.full(rank, VeraAdapter.d_init),
         rank=rank,
         master_seed=store.master_seed,
     )
@@ -702,13 +696,14 @@ def materialize_delta(adapter, path="mode"):
     """Dense delta matrix of any adapter.
 
     ``path`` picks the computation: "mode", for every family, is the
-    family's ``delta()``; "kron", for the tensor network only, forms the two
-    Kronecker-factor matrices and sandwiches the scaled, unfolded core. The
-    two must agree to 1e-10 relative; tests enforce this.
+    family's ``deltas`` of the one-member stack of its arrays; "kron", for
+    the tensor network only, forms the two Kronecker-factor matrices and
+    sandwiches the scaled, unfolded core. The two must agree to 1e-10
+    relative; tests enforce this.
     """
     family = _checked(adapter).family
     if path == "mode":
-        return adapter.delta()
+        return adapter.deltas(_stacked(adapter.trainable_arrays()))[0]
     if path == "kron" and family == "tera":
         return _kron_delta(adapter)
     raise ValueError(f"no materialization path {path!r} for a {family} adapter")
@@ -764,7 +759,9 @@ def vera_rank_for_budget(j1, budget) -> int:
 
 def clone_trainable(adapter):
     """Copy of an adapter with fresh trainable arrays and shared frozen parts."""
-    return _checked(adapter).clone()
+    clone = dataclasses.replace(_checked(adapter))
+    clone.bind_trainable([x.copy() for x in adapter.trainable_arrays()])
+    return clone
 
 
 def save_checkpoint(adapter, path):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import itertools
 import json
 import math
 import time
@@ -37,8 +36,8 @@ from .adapters import (
     _outer,
     _pull,
     _reduce_by_d_vectors,
-    _scale_modes,
     _scaled_core,
+    _stacked,
     init_hira,
     init_lora,
     init_tera,
@@ -71,14 +70,15 @@ class DivergenceError(RuntimeError):
 
 def delta_gradient(adapter, upstream: np.ndarray):
     """Gradients of <upstream, delta> for the adapter's trainable arrays,
-    in the same order as ``trainable_arrays()``. An upstream gradient whose
-    shape is not the delta's raises ValueError."""
+    in the same order as ``trainable_arrays()``: the family's ``gradients``
+    of the one-member stack. An upstream gradient whose shape is not the
+    delta's raises ValueError."""
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != _checked(adapter).shape:
         raise ValueError(
             f"upstream gradient shape {upstream.shape} != delta shape {adapter.shape}"
         )
-    return adapter.grads(upstream)
+    return [g[0] for g in adapter.gradients(_stacked(adapter.trainable_arrays()), upstream[None])]
 
 
 def tera_gradient(adapter: TeraAdapter, upstream: np.ndarray):
@@ -364,41 +364,25 @@ class _Block:
     ``network()`` (core and factor objects) and shape, or one adapter with
     none. ``params[i]`` and ``grads[i]``, views of the optimizer's buffers,
     stack every member's i-th trainable array and its gradient; member k's
-    arrays are its rows of ``params``.
+    arrays are its rows of ``params``. Member 0's family forms the stack's
+    deltas and gradients.
     """
 
     def __init__(self, names, adapters, params, grads):
         shapes = [x.shape for x in adapters[0].trainable_arrays()]
-        self.names, self.adapters, self.network = names, adapters, adapters[0].network()
+        self.names, self.adapters = names, adapters
         self.params, self.grads = _views(params, shapes), _views(grads, shapes)
         for k, adapter in enumerate(adapters):
             adapter.bind_trainable([p[k] for p in self.params])
 
     def deltas(self):
-        """``(members, rows, cols)``: a stack's from one ``_scale_modes``."""
-        if self.network is None:
-            return materialize_delta(self.adapters[0])[None]
-        core, factors, _ = self.network
-        return _scale_modes(core, factors, self.params).reshape((-1,) + self.adapters[0].shape)
+        """``(members, rows, cols)``: every member's delta."""
+        return self.adapters[0].deltas(self.params)
 
     def backward(self, upstream):
         """Write the gradients of ``<upstream[k], member k's delta>`` into
-        ``grads``, a stack's from one pull and one reduction. A gradient
-        list that is not shaped as the arrays is refused, nothing written."""
-        if self.network is not None:
-            core, factors, _ = self.network
-            pulled = _pull(upstream.reshape([len(upstream)] + _mode_sizes(core, factors)),
-                           factors)
-            _reduce_by_d_vectors(core * pulled, self.params, out=self.grads)
-            return
-        grads = delta_gradient(self.adapters[0], upstream[0])
-        got, want = [np.shape(g) for g in grads], [g.shape[1:] for g in self.grads]
-        for i, (g, a) in enumerate(itertools.zip_longest(got, want)):
-            if g != a:
-                raise ValueError(f"gradient {i} has shape {g}, its array {a}: "
-                                 f"{len(got)} gradients for {len(want)} arrays")
-        for g, view in zip(grads, self.grads):
-            view[0] = g
+        ``grads``."""
+        self.adapters[0].gradients(self.params, upstream, out=self.grads)
 
 
 def _own(adapters, cfg):
@@ -490,7 +474,8 @@ def _recovery_objective(block, target):
     are the reduction of C * P. The delta is never formed; the expanded loss
     carries about eps * ||T||^2 of absolute rounding.
     """
-    if block.network is None:
+    network = block.adapters[0].network()
+    if network is None:
         def objective():
             delta = block.deltas()[0]
             diff = delta - target
@@ -498,7 +483,7 @@ def _recovery_objective(block, target):
             return 0.5 * float(np.sum(diff * diff)), {"adapter": delta}
 
         return objective
-    core, factors, _ = block.network
+    core, factors, _ = network
     pulled = _pull(np.reshape(target, [1] + _mode_sizes(core, factors)), factors)
     grams = [None if f is None else f @ f.T for f in factors]
     target_sq = float(np.sum(target * target))
@@ -896,7 +881,6 @@ class MlpAdaptTask:
             "kind": "mlp-adapt",
             "layer_sizes": list(self.layer_sizes),
             "n_classes": self.n_classes,
-            "attach_layers": list(range(len(self.base_weights))),
             "seed": self.seed,
             "pretrain": self.pretrain_config,
             "n_train": int(self.target_train[0].shape[0]),
@@ -1066,7 +1050,7 @@ def make_mlp_adapt_task(
         target_train=target_train,
         target_test=target_test,
         seed=int(seed),
-        pretrain_config={"steps": pretrain_steps, "learning_rate": pretrain_cfg.learning_rate},
+        pretrain_config={"steps": pretrain_steps},
         layer_sizes=tuple(layer_sizes),
     )
 

@@ -151,6 +151,10 @@ class TestInit:
         with pytest.raises(ValueError, match="rank"):
             init()
 
+    def test_vera_starts_at_the_d_init_it_records(self):
+        v = init_vera(4, 6, 3, FrozenFactorStore(0))
+        assert_array_equal(v.d, np.full(3, v.to_doc()["d_init"]))
+
     def test_hira_needs_w0_or_seed(self):
         with pytest.raises(ValueError):
             init_hira(4, 4, 2)
