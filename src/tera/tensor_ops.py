@@ -332,11 +332,18 @@ def tensor_spectral_norm(
     consumes it. ``converged`` is False when no restart stabilized within
     ``max_iters`` sweeps; the best iterate is still returned.
 
-    The restarts run in lockstep: each mode's vectors are one ``(restarts,
-    size)`` array and each mode update is one ``einsum`` over the restarts
-    still iterating. A restart leaves that set once its value stabilizes
-    (relative change at most ``tol``) or it lands on a zero slice (it then
-    contributes 0). Non-finite input raises ``ValueError``.
+    The restarts run in lockstep, as Gauss-Seidel sweeps over the modes:
+    each mode's vectors are one ``(restarts, size)`` array over the restarts
+    still iterating. A sweep first forms, from the vectors it starts with,
+    every mode's suffix: the outer product of the later modes' vectors.
+    Mode 0's update is one GEMM of the suffixes against the tensor's mode-0
+    unfolding, which all restarts share; its new vectors then contract that
+    unfolding into a per-restart prefix. Each later mode's update is one
+    batched matvec of the prefix against that mode's suffix, and the prefix
+    then absorbs the new vectors with one batched vecmat. A restart leaves
+    the arrays at the end of a sweep once its value stabilizes (relative
+    change at most ``tol``), or mid-sweep when it lands on a zero slice (it
+    then contributes 0). Non-finite input raises ``ValueError``.
 
     For an order-2 tensor this reduces to power iteration for the largest
     singular value.
@@ -346,49 +353,64 @@ def tensor_spectral_norm(
     tensor = np.asarray(tensor, dtype=float)
     if not np.isfinite(tensor).all():
         raise ValueError("tensor holds non-finite values")
-    order = tensor.ndim
+    shape, order = tensor.shape, tensor.ndim
+    unfolded = tensor.reshape(shape[0], math.prod(shape[1:]))
     rng = np.random.default_rng(seed)
     # one draw in the order of a restart-by-restart, mode-by-mode loop
-    vectors = np.split(rng.standard_normal((restarts, sum(tensor.shape))),
-                       np.cumsum(tensor.shape)[:-1], axis=1)
+    vectors = np.split(rng.standard_normal((restarts, sum(shape))),
+                       np.cumsum(shape)[:-1], axis=1)
     values = np.zeros(restarts)
     converged = np.zeros(restarts, dtype=bool)
-    active = np.arange(restarts)
+    started = np.ones(restarts, dtype=bool)
     for i, v in enumerate(vectors):
         norms = np.linalg.norm(v, axis=1)
-        active = active[norms[active] > 0.0]  # a zero start contributes nothing
+        started &= norms > 0.0  # a zero start contributes nothing
         vectors[i] = v / np.where(norms > 0.0, norms, 1.0)[:, None]
-
-    def contract_all_but(members, skip):
-        # one einsum over the stack; axis `order` indexes the restarts
-        if order == 1:
-            return np.broadcast_to(tensor, (members.size, tensor.size))
-        operands = [tensor, list(range(order))]
-        for mode, v in enumerate(vectors):
-            if mode != skip:
-                operands += [v[members], [order, mode]]
-        return np.einsum(*operands, [order, skip])
+    active = np.flatnonzero(started)
+    vectors = [v[active] for v in vectors]
+    value = np.zeros(active.size)  # each active restart's value after its last sweep
 
     for _ in range(max_iters):
         if active.size == 0:
             break
-        previous = values[active]
-        alive = np.ones(active.size, dtype=bool)
+        # suffixes[m]: the outer product of the vectors of the modes after m
+        suffixes = [vectors[-1]]
+        for v in vectors[-2:0:-1]:
+            suffixes.append((v[:, :, None] * suffixes[-1][:, None, :]).reshape(active.size, -1))
+        suffixes.reverse()
         for mode in range(order):
-            members = active[alive]
-            w = contract_all_but(members, mode)
-            norms = np.linalg.norm(w, axis=1)
-            live = norms > 0.0
-            values[members] = norms
-            # landed on a zero slice: these restarts contribute nothing
-            converged[members[~live]] = True
-            vectors[mode][members[live]] = w[live] / norms[live, None]
-            alive[alive] = live
-        done = active[alive]
-        settled = np.abs(values[done] - previous[alive]) <= tol * np.maximum(
-            1.0, np.abs(values[done]))
-        converged[done[settled]] = True
-        active = done[~settled]
+            if mode == order - 1:
+                w = prefix if mode else np.broadcast_to(tensor, (active.size, shape[0]))
+            elif mode == 0:
+                w = suffixes[0] @ unfolded.T
+            else:
+                prefix = prefix.reshape(active.size, shape[mode], -1)
+                w = (prefix @ suffixes[mode][:, :, None])[..., 0]
+            norms = np.sqrt(np.add.reduce(w * w, axis=1))
+            if np.count_nonzero(norms) < active.size:
+                # landed on a zero slice: these restarts keep the value 0
+                live = norms > 0.0
+                converged[active[~live]] = True
+                active, value, w, norms = active[live], value[live], w[live], norms[live]
+                if active.size == 0:
+                    break
+                vectors = [v[live] for v in vectors]
+                suffixes = [s[live] for s in suffixes]
+                if mode > 0:
+                    prefix = prefix[live]
+            v = vectors[mode] = w / norms[:, None]
+            if mode == 0 and order > 1:
+                prefix = v @ unfolded
+            elif mode < order - 1:
+                prefix = (v[:, None, :] @ prefix)[:, 0]
+        settled = np.abs(norms - value) <= tol * np.maximum(1.0, norms)
+        value = norms
+        if np.count_nonzero(settled):
+            values[active[settled]] = value[settled]
+            converged[active[settled]] = True
+            active, value = active[~settled], value[~settled]
+            vectors = [v[~settled] for v in vectors]
+    values[active] = value
     # converged if any restart that reached the largest value converged
     best = max(0.0, float(values.max()))
     return SpectralNormEstimate(best, bool(converged[values == best].any()))

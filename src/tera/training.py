@@ -571,8 +571,9 @@ class AlsResult:
     sweeps, and a Gauss-Newton run that kept ``polish_steps_kept`` steps
     from ``value_before_polish``; the true minimum can only be lower.
     ``stop`` says how ALS ended: ``floor`` (at the rounding floor), else
-    ``stalled`` when the last sweep lowered the objective by less than
-    ``64 * eps`` relative (``last_sweep_rel_change``), or ``sweeps``.
+    ``stalled`` when a sweep lowered the objective by less than ``64 * eps``
+    relative (``last_sweep_rel_change``), which ends the sweeps, or
+    ``sweeps`` when every sweep ran.
     ``svd_solves`` counts the sweep subproblems, one per start and mode,
     solved by SVD instead of the normal equations (``_solve_stacked``);
     every ridge fallback is one of them.
@@ -600,8 +601,12 @@ class AlsResult:
         single sweep, which has no earlier objective to compare."""
         if len(self.sweep_values) < 2:
             return None
-        before, last = self.sweep_values[-2:]
-        return (before - last) / before if before > 0 else 0.0
+        return _rel_drop(*self.sweep_values[-2:])
+
+
+def _rel_drop(before, last):
+    """The relative drop from ``before`` to ``last``, 0 where ``before`` is 0."""
+    return (before - last) / before if before > 0 else 0.0
 
 
 def _matvecs(a, x):
@@ -748,7 +753,10 @@ def als_approx_error(
     probe after every power-of-two sweep: a probe at the floor ends ALS with
     its result, any other is discarded and the sweeps go on from their own
     state. After the last sweep it runs as the polish, whose result is kept.
-    With ``polish_steps=0`` no probe runs: the result is the sweeps' own. The
+    The sweeps also end at the first one that lowers the best start's
+    objective by less than ``64 * eps`` relative (``stop == "stalled"``),
+    and the polish runs from there. With ``polish_steps=0`` no probe runs:
+    the result is the sweeps' own, and they stall at the same sweep. The
     adapter is never mutated. A non-finite target or a negative count raises
     ``ValueError``.
 
@@ -829,22 +837,21 @@ def als_approx_error(
         # the last mode's phi @ solution is each start's delta after this sweep
         residual = w_vec - _matvecs(phi, d_stacks[-1])
         sweep_values.append(np.einsum("sk,sk->s", residual, residual))
-        if n == sweeps or (polish_steps > 0 and n & (n - 1) == 0):
+        best = int(np.argmin(sweep_values[-1]))
+        stalled = n > 1 and _rel_drop(sweep_values[-2][best], sweep_values[-1][best]) < 64 * eps
+        if n == sweeps or stalled or (polish_steps > 0 and n & (n - 1) == 0):
             best, value, d, kept = gauss_newton(sweep_values[-1], phi, residual)
-            if value <= floor:
+            if value <= floor or stalled:
                 break
-    result = AlsResult(
+    return AlsResult(
         value=value,
         d_vectors=[x[0].copy() for x in d],
         ridge_fallbacks=ridge_fallbacks,
         sweep_values=np.array(sweep_values)[:, best].tolist(),
         polish_steps_kept=kept,
         svd_solves=sum(svd_solves),
+        stop="floor" if value <= floor else "stalled" if stalled else "sweeps",
     )
-    change = result.last_sweep_rel_change
-    stalled = change is not None and change < 64 * eps
-    result.stop = "floor" if value <= floor else "stalled" if stalled else "sweeps"
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Small random tensorization schemes (reduced ranks and identity factors
 included), VeRA shapes with ranks below and above both sides, and the two
 low-rank families, each checked against the brute-force oracles in
 ``oracles``; the recovery objective in rank space against the materialized
-one; the scheme and tensor reshapes against their inverses; and the CLI
+one; the scheme and tensor reshapes against their inverses; the power
+method against its restart-by-restart oracle; and the CLI
 against checkpoint and config documents holding a value of a wrong JSON kind
 somewhere, which must exit 2 with an ``error:`` line. Runs are derandomized
 with a fixed example budget, so the suite stays deterministic.
@@ -35,7 +36,14 @@ from tera.adapters import (
 )
 from tera import training
 from tera.cli import EXIT_CONFIG, _command_actions, build_parser, main
-from tera.tensor_ops import TensorizationScheme, fold, format_scheme, parse_scheme, unfold
+from tera.tensor_ops import (
+    TensorizationScheme,
+    fold,
+    format_scheme,
+    parse_scheme,
+    tensor_spectral_norm,
+    unfold,
+)
 from tera.training import delta_gradient, finite_difference_check, gaussian_recovery_task
 
 import checkpoint_docs
@@ -43,6 +51,7 @@ from oracles import (
     explicit_factors,
     recovery_gradients,
     recovery_loss,
+    spectral_norm_by_restarts,
     tera_delta_by_loops,
     vera_delta,
 )
@@ -231,6 +240,31 @@ def test_fold_and_unfold_are_inverse(scheme, seed):
     assert tensor.shape == scheme.mode_sizes
     np.testing.assert_array_equal(unfold(tensor, scheme.split), matrix)
     np.testing.assert_array_equal(fold(unfold(tensor, scheme.split), scheme), tensor)
+
+
+@st.composite
+def power_method_cases(draw):
+    """A Gaussian tensor of order 1-5 with mode sizes 1-4, scaled by 1e-3 to
+    1e3 and half of them with one slice zeroed, and the power method's
+    arguments: 1-6 restarts, at most 30 sweeps and a seed."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)))
+    tensor = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(shape)
+    tensor *= 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        mode = draw(st.integers(0, len(shape) - 1))
+        tensor[(slice(None),) * mode + (draw(st.integers(0, shape[mode] - 1)),)] = 0.0
+    return tensor, dict(restarts=draw(st.integers(1, 6)), max_iters=draw(st.integers(0, 30)),
+                        seed=draw(st.integers(0, 2**16)))
+
+
+@settings(PROPERTY, max_examples=500)
+@given(power_method_cases())
+def test_power_method_matches_the_restart_by_restart_oracle(case):
+    tensor, args = case
+    got = tensor_spectral_norm(tensor, **args)
+    want = spectral_norm_by_restarts(tensor, **args)
+    assert got.converged == want.converged
+    assert abs(got.value - want.value) <= 1e-12 * want.value
 
 
 def json_values(kind):

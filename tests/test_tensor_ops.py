@@ -246,10 +246,22 @@ def _gaussian(shape, seed):
 _ZERO_SLICE = _gaussian((3, 4, 2), 3)
 _ZERO_SLICE[:, 1, :] = 0.0
 
+# Power iteration never lowers a restart's value within a sweep, so a later
+# mode's contraction is zero only after a norm overflowed (a sum of squares
+# past the float range), which zeroes the vector it divides. Entry 0 above
+# sqrt(float max) draws some restarts there, and each overflows at a mode its
+# start decides: with seed 0, restarts land on a zero slice at modes 2 and 3
+# of sweep 1 and at modes 1 and 2 of sweep 2. The 2x2x2 block, at half that
+# size, keeps the other restarts finite.
+_MID_SWEEP_ZEROS = np.zeros((3, 3, 3, 1))
+_MID_SWEEP_ZEROS[1:, 1:, 1:] = _gaussian((2, 2, 2, 1), 0)
+_MID_SWEEP_ZEROS *= 0.5 * np.sqrt(np.finfo(float).max) / np.linalg.norm(_MID_SWEEP_ZEROS)
+_MID_SWEEP_ZEROS[0, 0, 0, 0] = 1.2 * np.sqrt(np.finfo(float).max)
+
 # (tensor, arguments): rank grids of acceptance criteria 5 and 6's schemes,
 # reduced ranks, a matrix, one restart, a budget too small to converge, the
-# zero tensor (every restart lands on a zero slice at once) and a tensor with
-# a zero slice.
+# zero tensor (every restart lands on a zero slice at once), a tensor with a
+# zero slice, and restarts that land on zero slices mid-sweep.
 LOCKSTEP_CASES = {
     **{f"grid{shape}": (_gaussian(shape, i), {"seed": i}) for i, shape in enumerate([
         (4, 2, 2), (2, 2, 2, 2), (4, 4), (2, 4, 4, 2), (16, 4, 4), (4, 4, 4, 4),
@@ -259,6 +271,7 @@ LOCKSTEP_CASES = {
     "max_iters_2": (_gaussian((2, 4, 2, 4), 13), {"max_iters": 2}),
     "zero": (np.zeros((2, 3, 2)), {}),
     "zero_slice": (_ZERO_SLICE, {"seed": 3}),
+    "mid_sweep_zeros": (_MID_SWEEP_ZEROS, {"seed": 0}),
 }
 
 

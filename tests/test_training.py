@@ -910,8 +910,10 @@ class TestAls:
         adapter = TeraAdapter(scheme, entry, [np.ones(2), np.ones(2)], 1, 0)
         target = rng.standard_normal((3, 3))
         result = als_approx_error(adapter, target, sweeps=5, polish_steps=0, seed=2)
-        value, _, fallbacks, _ = als_sweeps_by_starts(adapter, target, sweeps=5, seed=2)
-        assert result.ridge_fallbacks == fallbacks == 4 * 5
+        ran = len(result.sweep_values)  # sweep 2 stalls
+        value, _, fallbacks, _ = als_sweeps_by_starts(adapter, target, sweeps=ran, seed=2)
+        assert result.stop == "stalled" and ran == 2
+        assert result.ridge_fallbacks == fallbacks == 4 * ran
         assert abs(result.value - value) <= 1e-10 * float(np.sum(target * target))
 
     def test_stacked_solve_masks_the_ridge_fallback_per_member(self):
@@ -997,8 +999,10 @@ class TestAls:
     @pytest.mark.parametrize("kind", ["planted", "gaussian", "zero"])
     def test_unpolished_matches_the_every_sweep_oracle_bit_for_bit(self, scheme, identity,
                                                                     kind):
-        # with polish_steps=0 no probe runs and no sweep is skipped, not even
-        # when the sweeps reach the rounding floor (a zero target, at sweep 1)
+        # with polish_steps=0 no probe runs: the sweeps go on, past the
+        # rounding floor too, up to the first that lowers the best start's
+        # objective by less than 64 eps relative (a zero target reaches the
+        # floor at sweep 1 and stalls at sweep 2) or to the last
         store = FrozenFactorStore(61)
         adapter = init_tera(scheme.rows, scheme.cols, scheme, store, identity_factors=identity)
         if kind == "planted":
@@ -1008,7 +1012,12 @@ class TestAls:
         else:
             target = np.zeros(adapter.shape)
         result = als_approx_error(adapter, target, sweeps=40, polish_steps=0, seed=1)
-        oracle = als_every_sweep(adapter, target, sweeps=40, polish_steps=0, seed=1)
+        ran = len(result.sweep_values)
+        changes = [als_every_sweep(adapter, target, sweeps=n, polish_steps=0,
+                                   seed=1).last_sweep_rel_change for n in range(2, ran + 1)]
+        assert all(change >= 64 * np.finfo(float).eps for change in changes[:-1])
+        assert ran == 40 or changes[-1] < 64 * np.finfo(float).eps
+        oracle = als_every_sweep(adapter, target, sweeps=ran, polish_steps=0, seed=1)
         assert result.value == oracle.value
         assert result.sweep_values == oracle.sweep_values
         assert result.ridge_fallbacks == oracle.ridge_fallbacks
@@ -1076,13 +1085,17 @@ class TestAls:
 
     def test_stop_names_a_stalled_random_target(self):
         # a random target's objective stops falling long before sweep 150,
-        # but after 3 sweeps it is still moving; the sweeps all run
+        # which ends the sweeps there, with or without the probes; after 3
+        # sweeps it is still moving
         scheme = TensorizationScheme((2, 4, 2, 4), split=2)
         adapter = init_tera(8, 8, scheme, FrozenFactorStore(41))
         target = gaussian_recovery_task(8, 8, seed=1).target
         for sweeps, stop in ((150, "stalled"), (3, "sweeps")):
             result = als_approx_error(adapter, target, sweeps=sweeps)
-            assert result.stop == stop and len(result.sweep_values) == sweeps
+            ran = len(result.sweep_values)
+            assert result.stop == stop and (ran < sweeps) == (stop == "stalled")
+            assert als_approx_error(adapter, target, sweeps=sweeps,
+                                    polish_steps=0).sweep_values == result.sweep_values
             assert (result.last_sweep_rel_change < 64 * np.finfo(float).eps) == (stop == "stalled")
 
     def test_negative_polish_steps_refused(self):
