@@ -23,9 +23,8 @@ import numpy as np
 from .adapters import (
     FrozenFactorStore,
     TeraAdapter,
-    _kron_delta,
     _kron_sides,
-    clone_trainable,
+    _scaled_core,
     init_tera,
     materialize_delta,
 )
@@ -111,12 +110,12 @@ def verify_rank_bound(scheme: TensorizationScheme, trials: int, seed=0) -> Bound
     )
 
 
-def multiplicative_partitions(n: int, limit: int = 10_000):
+def multiplicative_partitions(n: int):
     """All unordered factorizations of n into integer factors >= 2.
 
     Returned as non-increasing tuples, (n,) included. The count grows slowly
     (a power of two yields one partition per additive partition of the
-    exponent), but `limit` guards against pathological inputs.
+    exponent): under the cap n <= 2^16 it is at most 3,079 (n = 60,480).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -125,8 +124,6 @@ def multiplicative_partitions(n: int, limit: int = 10_000):
     out = []
 
     def descend(remaining, cap, prefix):
-        if len(out) > limit:
-            raise ValueError(f"more than {limit} factorizations; raise the limit")
         for f in range(min(cap, remaining), 1, -1):
             if remaining % f:
                 continue
@@ -140,7 +137,7 @@ def multiplicative_partitions(n: int, limit: int = 10_000):
     return out
 
 
-def verify_param_bound(j1: int, j2: int, limit: int = 10_000) -> BoundReport:
+def verify_param_bound(j1: int, j2: int) -> BoundReport:
     """Check sum(mode sizes) <= J1 + J2 over every full-rank tensorization.
 
     A tensorization pairs one factorization per matrix dimension; since the
@@ -152,7 +149,7 @@ def verify_param_bound(j1: int, j2: int, limit: int = 10_000) -> BoundReport:
         raise ValueError("dimensions must be >= 2")
     sides = []
     for dim in (j1, j2):
-        parts = multiplicative_partitions(dim, limit)
+        parts = multiplicative_partitions(dim)
         sums = [sum(p) for p in parts]
         order = np.argsort(sums)
         sides.append(
@@ -171,7 +168,7 @@ def verify_param_bound(j1: int, j2: int, limit: int = 10_000) -> BoundReport:
     verdict = "holds" if violations == 0 and lhs <= rhs else "violated"
     return BoundReport(
         bound_id=PARAM_BOUND,
-        instance={"j1": j1, "j2": j2, "enumeration_limit": limit},
+        instance={"j1": j1, "j2": j2},
         lhs=float(lhs),
         rhs=float(rhs),
         terms={
@@ -194,16 +191,13 @@ def verify_param_bound(j1: int, j2: int, limit: int = 10_000) -> BoundReport:
 MIN_CORE_MAGNITUDE = 1e-10
 
 
-def _expressivity_convention_check(adapter: TeraAdapter):
-    # The factored (Kronecker) form must reproduce the network before the
-    # bound is trusted; probe with a throwaway non-zero scaling assignment.
-    probe = clone_trainable(adapter)
+def _expressivity_convention_check(adapter: TeraAdapter, left, right):
+    # The sides the bound is built from must reproduce the network before it
+    # is trusted; probe with a throwaway non-zero scaling assignment.
     rng = np.random.default_rng(0)
-    for d in probe.d_vectors:
-        d[:] = rng.standard_normal(d.shape)
-    via_kron = _kron_delta(probe)
-    via_modes = materialize_delta(probe)
-    if not np.allclose(via_kron, via_modes, rtol=0, atol=1e-8):
+    probe = [rng.standard_normal((1, r)) for r in adapter.scheme.ranks]
+    scaled = unfold(_scaled_core(adapter.core, probe)[0], adapter.split)
+    if not np.allclose(left @ scaled @ right.T, adapter.deltas(probe)[0], rtol=0, atol=1e-8):
         raise RuntimeError("factored form disagrees with mode-product form")
 
 
@@ -256,7 +250,7 @@ def verify_expressivity_bound(
     # the projections below need explicit sides, identities included
     left, right = (np.eye(n) if side is None else side
                    for side, n in zip(_kron_sides(adapter), adapter.shape))
-    _expressivity_convention_check(adapter)
+    _expressivity_convention_check(adapter, left, right)
 
     left_pinv = pseudoinverse(left)
     right_pinv = pseudoinverse(right)

@@ -318,7 +318,7 @@ def _verify_rank(args, out):
 
 def _verify_params(args, out):
     j1, j2 = parse_shape(args.shape) if args.shape else (4096, 4096)
-    report = verify_param_bound(j1, j2, limit=args.enumeration_limit)
+    report = verify_param_bound(j1, j2)
     write_json(out / "param_count_bound.json", report.to_json_dict())
     print(
         f"param_count_bound: {report.verdict} "
@@ -369,6 +369,10 @@ def cmd_ablate(args):
     j1, j2 = parse_shape(args.shape)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     swept = [f for f in families if f in ("tera", "tera_iden")]
+    for family in families:
+        if family not in swept:
+            print(f"skipping family {family!r}: ablation sweeps the "
+                  "tensor-network variants", file=sys.stderr)
     cfg = _optimizer_config(args)
     schemes = []
     for spec in args.schemes:
@@ -379,10 +383,6 @@ def cmd_ablate(args):
             print(f"skipping scheme {spec!r}: {exc}", file=sys.stderr)
             continue
         schemes.append(scheme)
-        for family in families:
-            if family not in swept:
-                print(f"skipping family {family!r}: ablation sweeps the "
-                      "tensor-network variants", file=sys.stderr)
     rows = ablate_schemes(schemes, swept, cfg, args.targets,
                           master_seed=args.master_seed, target_seed=args.target_seed)
     rows = [(format_scheme(s), f, p, m) for s, f, p, m in rows]
@@ -490,7 +490,6 @@ def build_parser():
     p.add_argument("--scheme", default=None)
     p.add_argument("--split", type=int, default=None)
     p.add_argument("--shape", default=None, help="params bound shape")
-    p.add_argument("--enumeration-limit", type=int, default=10_000)
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--sweeps", type=int, default=50)
     p.add_argument("--planted", action="store_true")

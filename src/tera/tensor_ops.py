@@ -332,18 +332,22 @@ def tensor_spectral_norm(
     consumes it. ``converged`` is False when no restart stabilized within
     ``max_iters`` sweeps; the best iterate is still returned.
 
-    The restarts run in lockstep, as Gauss-Seidel sweeps over the modes:
-    each mode's vectors are one ``(restarts, size)`` array over the restarts
-    still iterating. A sweep first forms, from the vectors it starts with,
-    every mode's suffix: the outer product of the later modes' vectors.
-    Mode 0's update is one GEMM of the suffixes against the tensor's mode-0
-    unfolding, which all restarts share; its new vectors then contract that
-    unfolding into a per-restart prefix. Each later mode's update is one
-    batched matvec of the prefix against that mode's suffix, and the prefix
-    then absorbs the new vectors with one batched vecmat. A restart leaves
-    the arrays at the end of a sweep once its value stabilizes (relative
-    change at most ``tol``), or mid-sweep when it lands on a zero slice (it
-    then contributes 0). Non-finite input raises ``ValueError``.
+    The restarts run on the tensor over ``2**e``, the power of two just
+    above its largest magnitude, so no contraction overflows and the value
+    scales back exactly. They run in lockstep, as Gauss-Seidel sweeps over
+    the modes: each mode's vectors are one ``(restarts, size)`` array over
+    the restarts still iterating. A sweep first forms, from the vectors it
+    starts with, every mode's suffix: the outer product of the later modes'
+    vectors. Mode 0's update is one GEMM of the suffixes against the
+    tensor's mode-0 unfolding, which all restarts share; its new vectors
+    then contract that unfolding into a per-restart prefix. Each later
+    mode's update is one batched matvec of the prefix against that mode's
+    suffix, and the prefix then absorbs the new vectors with one batched
+    vecmat. A restart leaves the arrays at the end of a sweep once its value
+    stabilizes (change at most ``tol`` times the value). No sweep lowers a
+    value, so only the first mode-0 update can land on a zero slice; that
+    restart keeps zero vectors and leaves with value 0. Non-finite input
+    raises ``ValueError``.
 
     For an order-2 tensor this reduces to power iteration for the largest
     singular value.
@@ -354,6 +358,8 @@ def tensor_spectral_norm(
     if not np.isfinite(tensor).all():
         raise ValueError("tensor holds non-finite values")
     shape, order = tensor.shape, tensor.ndim
+    exponent = math.frexp(float(np.abs(tensor).max(initial=0.0)))[1]
+    tensor = np.ldexp(tensor, -exponent)
     unfolded = tensor.reshape(shape[0], math.prod(shape[1:]))
     rng = np.random.default_rng(seed)
     # one draw in the order of a restart-by-restart, mode-by-mode loop
@@ -387,23 +393,14 @@ def tensor_spectral_norm(
                 prefix = prefix.reshape(active.size, shape[mode], -1)
                 w = (prefix @ suffixes[mode][:, :, None])[..., 0]
             norms = np.sqrt(np.add.reduce(w * w, axis=1))
-            if np.count_nonzero(norms) < active.size:
-                # landed on a zero slice: these restarts keep the value 0
-                live = norms > 0.0
-                converged[active[~live]] = True
-                active, value, w, norms = active[live], value[live], w[live], norms[live]
-                if active.size == 0:
-                    break
-                vectors = [v[live] for v in vectors]
-                suffixes = [s[live] for s in suffixes]
-                if mode > 0:
-                    prefix = prefix[live]
-            v = vectors[mode] = w / norms[:, None]
+            zero_slice = np.count_nonzero(norms) < active.size
+            v = vectors[mode] = w / (np.where(norms > 0.0, norms, 1.0) if zero_slice
+                                     else norms)[:, None]
             if mode == 0 and order > 1:
                 prefix = v @ unfolded
             elif mode < order - 1:
                 prefix = (v[:, None, :] @ prefix)[:, 0]
-        settled = np.abs(norms - value) <= tol * np.maximum(1.0, norms)
+        settled = np.abs(norms - value) <= tol * norms
         value = norms
         if np.count_nonzero(settled):
             values[active[settled]] = value[settled]
@@ -413,4 +410,5 @@ def tensor_spectral_norm(
     values[active] = value
     # converged if any restart that reached the largest value converged
     best = max(0.0, float(values.max()))
-    return SpectralNormEstimate(best, bool(converged[values == best].any()))
+    return SpectralNormEstimate(math.ldexp(best, exponent),
+                                bool(converged[values == best].any()))

@@ -532,7 +532,7 @@ def ablate_schemes(schemes, families, cfg: OptimizerConfig, targets, master_seed
                    target_seed=0):
     """Recovery of ``targets`` Gaussian targets (seeds ``target_seed``,
     ``target_seed + 1``, ...) by each tensor-network family at each scheme,
-    every fit from a fresh adapter on a fresh store of ``master_seed``.
+    every fit from a fresh adapter on one store of ``master_seed``.
 
     Returns one row ``(scheme, family, trainable params, mean final relative
     residual)`` per scheme and family, scheme-major. A family other than tera
@@ -543,14 +543,13 @@ def ablate_schemes(schemes, families, cfg: OptimizerConfig, targets, master_seed
     for family in families:
         if family not in ("tera", "tera_iden"):
             raise ValueError(f"ablation sweeps the tensor-network variants, not {family!r}")
-    rows = []
+    rows, store = [], FrozenFactorStore(master_seed)
     for scheme in schemes:
         j1, j2 = scheme.rows, scheme.cols
         for family in families:
             residuals = []
             for t in range(targets):
-                adapter = build_adapter(family, j1, j2, store=FrozenFactorStore(master_seed),
-                                        scheme=scheme)
+                adapter = build_adapter(family, j1, j2, store=store, scheme=scheme)
                 task = gaussian_recovery_task(j1, j2, seed=target_seed + t)
                 report = fit_recovery(adapter, task, cfg)
                 residuals.append(report.metrics["final_relative_residual"])
@@ -657,7 +656,7 @@ def _operator_designs(core, factors):
 _GRAM_CONDITION_LIMIT = 1e8
 
 
-def _solve_stacked(phi, w, previous, ridge, svd_solves=None):
+def _solve_stacked(phi, w, previous, ridge):
     """Least squares ``min ||w - phi[s] @ x||`` for every member s of a
     ``(members, rows, r)`` stack, from the r x r normal equations.
 
@@ -669,9 +668,8 @@ def _solve_stacked(phi, w, previous, ridge, svd_solves=None):
     ``_solve_by_svd`` instead. Every member that ``np.linalg.lstsq``'s rank
     rule finds deficient has cond(phi) above ``1 / (eps * max(rows, r))``,
     far past the limit, so only the SVD runs the ridge fallback. Returns the
-    ``(members, r)`` solutions and the number of members that fell back;
-    the number handed to the SVD is appended to the list ``svd_solves``
-    when one is given.
+    ``(members, r)`` solutions, the number of members that fell back and
+    the number handed to the SVD.
     """
     phi_t = phi.transpose(0, 2, 1)
     gram = phi_t @ phi
@@ -686,12 +684,10 @@ def _solve_stacked(phi, w, previous, ridge, svd_solves=None):
         estimate = (np.einsum("sij,sij->s", gram, gram)
                     * np.einsum("sij,sij->s", inverse, inverse))
         to_svd = np.flatnonzero(~(estimate <= _GRAM_CONDITION_LIMIT ** 2))
-    if svd_solves is not None:
-        svd_solves.append(to_svd.size)
     if not to_svd.size:
-        return solution, 0
+        return solution, 0, 0
     solution[to_svd], fell_back = _solve_by_svd(phi[to_svd], w, previous[to_svd], ridge)
-    return solution, fell_back
+    return solution, fell_back, to_svd.size
 
 
 def _solve_by_svd(phi, w, previous, ridge):
@@ -827,13 +823,13 @@ def als_approx_error(
             kept += 1
         return best, value, d, kept
 
-    ridge_fallbacks, svd_solves, sweep_values = 0, [], []  # sweep_values: (starts,) per sweep
+    ridge_fallbacks, svd_solves, sweep_values = 0, 0, []  # sweep_values: (starts,) per sweep
     for n in range(1, sweeps + 1):
         for mode in range(len(ranks)):
             phi = design(d_stacks, mode)
-            d_stacks[mode], fell_back = _solve_stacked(phi, w_vec, d_stacks[mode], 1e-10,
-                                                       svd_solves)
+            d_stacks[mode], fell_back, to_svd = _solve_stacked(phi, w_vec, d_stacks[mode], 1e-10)
             ridge_fallbacks += fell_back
+            svd_solves += to_svd
         # the last mode's phi @ solution is each start's delta after this sweep
         residual = w_vec - _matvecs(phi, d_stacks[-1])
         sweep_values.append(np.einsum("sk,sk->s", residual, residual))
@@ -849,7 +845,7 @@ def als_approx_error(
         ridge_fallbacks=ridge_fallbacks,
         sweep_values=np.array(sweep_values)[:, best].tolist(),
         polish_steps_kept=kept,
-        svd_solves=sum(svd_solves),
+        svd_solves=svd_solves,
         stop="floor" if value <= floor else "stalled" if stalled else "sweeps",
     )
 

@@ -65,6 +65,9 @@ MALFORMED = {
     "tera-string-mode-sizes": ("tera", ["scheme", "mode_sizes"], ["2", "2", "2", "2"]),
     "tera-zero-init-mode-out-of-range": ("tera", ["zero_init_mode"], 4),
     "tera-identity-flag-not-boolean": ("tera", ["identity_factors"], "yes"),
+    "tera-identity-factors-on-reduced-ranks": ("tera", [], lambda v: {
+        **v, "identity_factors": True, "scheme": {**v["scheme"], "ranks": [1, 2, 2, 2]},
+        "d_vectors": [v["d_vectors"][0][:1], *v["d_vectors"][1:]]}),
     "tera-not-an-object": ("tera", [], lambda v: [v]),
     "lora-rank-disagrees-with-a": ("lora", ["rank"], 3),
     "lora-b-rows-disagree-with-a": ("lora", ["b"], lambda v: v[:-1]),

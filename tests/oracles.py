@@ -189,7 +189,7 @@ def als_every_sweep(adapter, target, sweeps=50, extra_starts=3, polish_steps=200
     for _ in range(sweeps):
         for mode in range(len(ranks)):
             phi = design(d_stacks, mode)
-            d_stacks[mode], fell_back = _solve_stacked(phi, w_vec, d_stacks[mode], ridge)
+            d_stacks[mode], fell_back, _ = _solve_stacked(phi, w_vec, d_stacks[mode], ridge)
             ridge_fallbacks += fell_back
         residual = w_vec - _matvecs(phi, d_stacks[-1])
         sweep_values.append(np.einsum("sk,sk->s", residual, residual))
@@ -247,8 +247,11 @@ def adamw_polish(adapter, target, d_vectors, value, polish_steps=200):
 
 def spectral_norm_by_restarts(tensor, restarts=16, tol=1e-10, max_iters=500, seed=0):
     """``tensor_spectral_norm`` one restart after another, contracting one
-    mode at a time with ``np.tensordot``."""
+    mode at a time with ``np.tensordot``, on the tensor over the power of
+    two just above its largest magnitude."""
     tensor = np.asarray(tensor, dtype=float)
+    exponent = math.frexp(float(np.abs(tensor).max(initial=0.0)))[1]
+    tensor = np.ldexp(tensor, -exponent)
     order = tensor.ndim
     rng = np.random.default_rng(seed)
 
@@ -277,12 +280,12 @@ def spectral_norm_by_restarts(tensor, restarts=16, tol=1e-10, max_iters=500, see
                 vectors[mode] = w / norm
                 value = norm
             else:
-                converged = abs(value - previous) <= tol * max(1.0, abs(value))
+                converged = abs(value - previous) <= tol * value
             if converged:
                 break
         if value > best or (value == best and converged and not best_converged):
             best, best_converged = value, converged
-    return SpectralNormEstimate(float(best), best_converged)
+    return SpectralNormEstimate(math.ldexp(best, exponent), best_converged)
 
 
 class OptimizerByArrays:

@@ -494,6 +494,8 @@ class TestCheckpoints:
         assert_array_equal(loaded.w0, w0)
         with pytest.raises(CheckpointError):
             load_checkpoint(path, base_weight=rng.standard_normal((5, 6)))
+        with pytest.raises(CheckpointError, match="base weight shape"):
+            load_checkpoint(path, base_weight=w0.T)
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

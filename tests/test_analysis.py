@@ -122,13 +122,15 @@ class TestPartitions:
         # factorizations of 2^12 = additive partitions of 12
         assert len(multiplicative_partitions(4096)) == 77
 
+    def test_most_factorizations_under_the_cap(self):
+        # no n <= 2^16 has more, so the cap bounds the enumeration
+        assert len(multiplicative_partitions(60480)) == 3079
+
     def test_validation(self):
         with pytest.raises(ValueError):
             multiplicative_partitions(1)
         with pytest.raises(ValueError):
             multiplicative_partitions(2**17)
-        with pytest.raises(ValueError):
-            multiplicative_partitions(4096, limit=10)
 
 
 class TestParamBound:
@@ -191,6 +193,13 @@ class TestExpressivityBound:
         got = _verify_expressivity_escalated(target, adapter, seed=master_seed)
         assert got.verdict == "holds" and got.lhs == want.lhs <= 1e-8
         assert got.terms["als_extra_starts"] == 12
+
+    def test_sides_that_miss_the_network_are_refused(self, monkeypatch):
+        adapter = eight_by_eight_adapter()
+        left, right = analysis._kron_sides(adapter)
+        monkeypatch.setattr(analysis, "_kron_sides", lambda a: (left, right[::-1]))
+        with pytest.raises(RuntimeError, match="factored form disagrees"):
+            verify_expressivity_bound(np.ones((8, 8)), adapter)
 
     def test_identity_factors_project_onto_everything(self):
         adapter = init_tera(8, 8, EIGHT, FrozenFactorStore(3), identity_factors=True)
@@ -407,6 +416,31 @@ class TestExpressivityBound:
             verify_expressivity_bound(np.ones((4, 4)), init_lora(4, 4, 2))
         with pytest.raises(ValueError):
             verify_expressivity_bound(np.ones((4, 5)), eight_by_eight_adapter())
+
+    def test_rejected_draws_are_redrawn_up_to_ten_per_instance(self, monkeypatch):
+        drawn = []
+        real = analysis._verify_expressivity_escalated
+
+        def every_other(w_star, adapter, **kwargs):
+            drawn.append(adapter.master_seed)
+            if len(drawn) % 2:
+                raise InstanceRejected("odd draw")
+            return real(w_star, adapter, **kwargs)
+
+        monkeypatch.setattr(analysis, "_verify_expressivity_escalated", every_other)
+        suite = analysis.verify_expressivity_instances(EIGHT, 2, sweeps=2)
+        assert suite.rejected == 2 and len(drawn) == 4
+        assert [r.instance["master_seed"] for r in suite.reports] == drawn[1::2]
+
+        def always(w_star, adapter, **kwargs):
+            drawn.append(adapter.master_seed)
+            raise InstanceRejected("every draw")
+
+        drawn.clear()
+        monkeypatch.setattr(analysis, "_verify_expressivity_escalated", always)
+        with pytest.raises(ValueError, match="too many rejected instances"):
+            analysis.verify_expressivity_instances(EIGHT, 3, sweeps=2)
+        assert len(drawn) == 30
 
 
 class TestRankReport:

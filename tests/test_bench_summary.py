@@ -50,7 +50,9 @@ def test_source_size_of_each_checkout(tmp_path):
     (tmp_path / "parent").mkdir()
     package = tmp_path / "parent" / "src" / "tera"
     package.mkdir(parents=True)
-    (package / "a.py").write_bytes(b"x = 1\ny = 2\n")
+    # 8 lines, 4 of them code: a docstring, a blank line and a comment are not
+    (package / "a.py").write_bytes(b'"""A\nmodule."""\n\n# note\nx = (1 +  # one\n'
+                                   b'     2)\ny = """two\nlines"""\n')
     (package / "b.py").write_bytes(b"z = 3\n")
     (package / "notes.txt").write_bytes(b"not counted\n")
     write_result(parent, 0, 2.0)
@@ -58,7 +60,7 @@ def test_source_size_of_each_checkout(tmp_path):
     out = tmp_path / "BENCH.json"
     assert bench_summary.main([str(parent), str(change), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["source_size"] == {
-        "parent": {"lines": 3, "bytes": 18}}
+        "parent": {"lines": 9, "bytes": 74, "code_lines": 5}}
 
 
 def entry(parent, change, better="higher"):

@@ -11,7 +11,7 @@ from tera.adapters import FrozenFactorStore, init_lora, load_checkpoint, save_ch
 from tera.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_MISSING, EXIT_OK, EXIT_VIOLATED, main
 from tera.tensor_ops import TensorizationScheme, format_scheme, parse_scheme, parse_shape
 
-from checkpoint_docs import malformed_doc, write
+from checkpoint_docs import malformed_doc, valid_doc, write
 
 
 class TestParsers:
@@ -317,6 +317,8 @@ class TestFit:
         (["--family", "lora", "--rank", "0"], "rank"),
         (["--family", "vera", "--rank", "0"], "rank"),
         (["--family", "hira", "--rank", "0"], "rank"),
+        (["--family", "vera", "--match-budget-of", "lora:16|4,4"], "--match-budget-of"),
+        (["--shape", "32x32"], "no default scheme for 32x32"),
     ])
     def test_bad_setting_exits_2_without_checkpoint(self, tmp_path, capsys, flags, field):
         out = tmp_path / "run"
@@ -327,6 +329,44 @@ class TestFit:
         assert err.startswith("error: ") and field in err
         assert not (out / "checkpoint.json").exists()
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "bad config file"),
+        ('["family", "lora"]', "must hold a JSON object"),
+    ])
+    def test_config_file_that_is_no_json_object_exits_2(self, tmp_path, capsys, text, message):
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "run")]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv, doc, key", [
+        (["verify", "--bound", "expressivity", "--instances", "1", "--sweeps", "2"],
+         {"planted": True}, None),
+        (["verify", "--bound", "expressivity"], {"planted": 1}, "planted"),
+        (["ablate", "--shape", "16x16", "--targets", "1", "--max-steps", "2"],
+         {"schemes": ["16|4,4"]}, None),
+        (["ablate", "--shape", "16x16"], {"schemes": "16|4,4"}, "schemes"),
+        (["ablate", "--shape", "16x16"], {"schemes": [16]}, "schemes"),
+    ])
+    def test_switch_and_list_config_values(self, tmp_path, capsys, argv, doc, key):
+        # a switch takes a boolean and a list flag a list of its own type
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        rc = main(argv + ["--config", str(config), "--out", str(out)])
+        if key is None:
+            assert rc == EXIT_OK
+            resolved = json.loads((out / "resolved_config.json").read_text())
+            assert {k: resolved[k] for k in doc} == doc
+        else:
+            assert rc == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and repr(key) in err
+            assert not out.exists()
 
     def test_missing_config_file_exits_5(self, tmp_path, capsys):
         rc = main(["fit", "--config", str(tmp_path / "nope.json")])
@@ -651,14 +691,24 @@ class TestAblate:
     def test_infeasible_scheme_skipped(self, tmp_path, capsys):
         out = tmp_path / "abl"
         rc = main(
-            ["ablate", "--schemes", "16|4,4", "9|3,3", "--shape", "16x16",
-             "--targets", "1", "--max-steps", "20", "--out", str(out)]
+            ["ablate", "--schemes", "16|4,4", "16|2,2,2,2", "9|3,3", "--shape", "16x16",
+             "--families", "tera,lora,vera", "--targets", "1", "--max-steps", "20",
+             "--out", str(out)]
         )
         assert rc == EXIT_OK
         err = capsys.readouterr().err
-        assert "skipping scheme" in err
+        assert "skipping scheme '9|3,3'" in err
+        # one warning per skipped family, not one per scheme
+        assert err.count("skipping family 'lora'") == err.count("skipping family 'vera'") == 1
         body = (out / "ablation.csv").read_text()
-        assert "9|3,3" not in body
+        assert "9|3,3" not in body and "lora" not in body
+
+    def test_skipped_family_warned_when_no_scheme_parses(self, tmp_path, capsys):
+        out = tmp_path / "abl"
+        main(["ablate", "--schemes", "bad", "--shape", "16x16", "--families", "tera,lora",
+              "--targets", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "skipping scheme 'bad'" in err and err.count("skipping family 'lora'") == 1
 
     def test_targets_below_one_exit_2(self, tmp_path, capsys):
         out = tmp_path / "abl"
@@ -680,16 +730,17 @@ class TestAblate:
 
     @pytest.mark.parametrize("args, flag", [
         # the tensor-network families take no adapter seed
-        (["ablate", "--schemes", "16|4,4", "--shape", "16x16", "--targets", "1"],
-         "--adapter-seed"),
+        (["ablate", "--schemes", "16|4,4", "--shape", "16x16", "--targets", "1",
+          "--max-steps", "5"], "--adapter-seed"),
         # the optimizer draws no random numbers
-        (["ablate", "--schemes", "16|4,4", "--shape", "16x16", "--targets", "1"],
-         "--opt-seed"),
-        (["fit", "--family", "tera", "--shape", "16x16"], "--opt-seed"),
+        (["ablate", "--schemes", "16|4,4", "--shape", "16x16", "--targets", "1",
+          "--max-steps", "5"], "--opt-seed"),
+        (["fit", "--family", "tera", "--shape", "16x16", "--max-steps", "5"], "--opt-seed"),
+        # the 2^16 cap bounds the enumeration, so a limit binds nothing
+        (["verify", "--bound", "params", "--shape", "64x64"], "--enumeration-limit"),
     ])
     def test_seed_that_drives_nothing_is_no_setting(self, tmp_path, capsys, args, flag):
         # neither the flag nor a config key naming it is accepted
-        args = args + ["--max-steps", "5"]
         key = flag[2:].replace("-", "_")
         with pytest.raises(SystemExit) as exc:
             main(args + [flag, "7", "--out", str(tmp_path / "flag")])
@@ -721,6 +772,16 @@ class TestCheckpointInspect:
         assert "family: lora" in out
         assert "shape: 8x8" in out
         assert "trainable_params: 32" in out
+
+    @pytest.mark.parametrize("family, lines", [
+        ("vera", ["family: vera", "rank: 2", "master_seed: 3"]),
+        ("hira", ["family: hira", "rank: 2", 'w0_provenance: {"kind": "synthetic", "seed": 5}']),
+    ])
+    def test_inspect_prints_the_family_fields(self, tmp_path, capsys, family, lines):
+        path = write(valid_doc(family), tmp_path / "ck.json")
+        assert main(["checkpoint", "inspect", str(path)]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        assert all(line in printed for line in lines)
 
     def test_missing_exits_5(self, tmp_path, capsys):
         rc = main(["checkpoint", "inspect", str(tmp_path / "none.json")])

@@ -5,7 +5,8 @@ included), VeRA shapes with ranks below and above both sides, and the two
 low-rank families, each checked against the brute-force oracles in
 ``oracles``; the recovery objective in rank space against the materialized
 one; the scheme and tensor reshapes against their inverses; the power
-method against its restart-by-restart oracle; and the CLI
+method against its restart-by-restart oracle and against itself on the
+tensor times a power of two; and the CLI
 against checkpoint and config documents holding a value of a wrong JSON kind
 somewhere, which must exit 2 with an ``error:`` line. Runs are derandomized
 with a fixed example budget, so the suite stays deterministic.
@@ -14,6 +15,7 @@ with a fixed example budget, so the suite stays deterministic.
 import contextlib
 import io
 import json
+import math
 import tempfile
 from functools import reduce
 from pathlib import Path
@@ -265,6 +267,16 @@ def test_power_method_matches_the_restart_by_restart_oracle(case):
     want = spectral_norm_by_restarts(tensor, **args)
     assert got.converged == want.converged
     assert abs(got.value - want.value) <= 1e-12 * want.value
+
+
+@PROPERTY
+@given(power_method_cases(), st.integers(-520, 520))
+def test_power_method_scales_exactly_with_a_power_of_two(case, k):
+    tensor, args = case
+    want = tensor_spectral_norm(tensor, **args)
+    got = tensor_spectral_norm(np.ldexp(tensor, k), **args)
+    assert got.value == math.ldexp(want.value, k)
+    assert got.converged == want.converged
 
 
 def json_values(kind):

@@ -246,13 +246,12 @@ def _gaussian(shape, seed):
 _ZERO_SLICE = _gaussian((3, 4, 2), 3)
 _ZERO_SLICE[:, 1, :] = 0.0
 
-# Power iteration never lowers a restart's value within a sweep, so a later
-# mode's contraction is zero only after a norm overflowed (a sum of squares
-# past the float range), which zeroes the vector it divides. Entry 0 above
-# sqrt(float max) draws some restarts there, and each overflows at a mode its
-# start decides: with seed 0, restarts land on a zero slice at modes 2 and 3
-# of sweep 1 and at modes 1 and 2 of sweep 2. The 2x2x2 block, at half that
-# size, keeps the other restarts finite.
+# The overflow regression: entry 0, above sqrt(float max), is the spectral
+# norm (1.609e154), and a sum of squares through it passes the float range
+# unless the tensor is scaled down first. An unscaled iteration divides by
+# those infinite norms, meets the zeroed vectors as zero slices mid-sweep
+# (hence the name) and returns 6.23e153, the norm of the 2x2x2 block at half
+# that size, which draws the other restarts.
 _MID_SWEEP_ZEROS = np.zeros((3, 3, 3, 1))
 _MID_SWEEP_ZEROS[1:, 1:, 1:] = _gaussian((2, 2, 2, 1), 0)
 _MID_SWEEP_ZEROS *= 0.5 * np.sqrt(np.finfo(float).max) / np.linalg.norm(_MID_SWEEP_ZEROS)
@@ -261,7 +260,7 @@ _MID_SWEEP_ZEROS[0, 0, 0, 0] = 1.2 * np.sqrt(np.finfo(float).max)
 # (tensor, arguments): rank grids of acceptance criteria 5 and 6's schemes,
 # reduced ranks, a matrix, one restart, a budget too small to converge, the
 # zero tensor (every restart lands on a zero slice at once), a tensor with a
-# zero slice, and restarts that land on zero slices mid-sweep.
+# zero slice, and one whose contractions overflow unless it is scaled.
 LOCKSTEP_CASES = {
     **{f"grid{shape}": (_gaussian(shape, i), {"seed": i}) for i, shape in enumerate([
         (4, 2, 2), (2, 2, 2, 2), (4, 4), (2, 4, 4, 2), (16, 4, 4), (4, 4, 4, 4),
@@ -301,6 +300,10 @@ class TestSpectralNorm:
     def test_zero_tensor(self):
         est = tensor_spectral_norm(np.zeros((2, 3, 2)))
         assert est.value == 0.0
+
+    def test_contractions_past_the_float_range_find_the_largest_entry(self):
+        est = tensor_spectral_norm(_MID_SWEEP_ZEROS)
+        assert est.converged and est.value == _MID_SWEEP_ZEROS[0, 0, 0, 0]
 
     def test_rejects_zero_restarts(self):
         with pytest.raises(ValueError):

@@ -925,8 +925,8 @@ class TestAls:
         phi[3] = 0.0
         w = rng.standard_normal(12)
         previous = rng.standard_normal((4, 3))
-        solution, fell_back = training._solve_stacked(phi, w, previous, 1e-10)
-        assert fell_back == 2
+        solution, fell_back, to_svd = training._solve_stacked(phi, w, previous, 1e-10)
+        assert fell_back == 2 and to_svd == 4
         for s in range(4):
             want, want_fell_back = least_squares_step(phi[s], w, previous[s], 1e-10)
             assert want_fell_back == (s in (1, 3))
@@ -940,9 +940,8 @@ class TestAls:
         phi = rng.standard_normal((7, 64, r))
         w = rng.standard_normal(64)
         previous = rng.standard_normal((7, r))
-        svd_solves = []
-        solution, fell_back = training._solve_stacked(phi, w, previous, 1e-10, svd_solves)
-        assert fell_back == 0 and svd_solves == [0]
+        solution, fell_back, to_svd = training._solve_stacked(phi, w, previous, 1e-10)
+        assert fell_back == 0 and to_svd == 0
         for s in range(7):
             want, want_fell_back = least_squares_step(phi[s], w, previous[s], 1e-10)
             assert not want_fell_back
@@ -959,9 +958,8 @@ class TestAls:
         assert 1e5 < np.linalg.cond(phi[1]) < 1e7
         w = rng.standard_normal(64)
         previous = rng.standard_normal((3, 2))
-        svd_solves = []
-        solution, fell_back = training._solve_stacked(phi, w, previous, 1e-10, svd_solves)
-        assert fell_back == 0 and svd_solves == [1]
+        solution, fell_back, to_svd = training._solve_stacked(phi, w, previous, 1e-10)
+        assert fell_back == 0 and to_svd == 1
         for s in range(3):
             want, want_fell_back = least_squares_step(phi[s], w, previous[s], 1e-10)
             assert not want_fell_back
@@ -978,10 +976,9 @@ class TestAls:
         previous = rng.standard_normal((4, 3))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(phi[2].T @ phi[2])
-        svd_solves = []
-        solution, fell_back = training._solve_stacked(phi, w, previous, 1e-10, svd_solves)
+        solution, fell_back, to_svd = training._solve_stacked(phi, w, previous, 1e-10)
         want, want_fell_back = training._solve_by_svd(phi, w, previous, 1e-10)
-        assert svd_solves == [4]
+        assert to_svd == 4
         assert fell_back == want_fell_back == 1
         assert_array_equal(solution, want)
 

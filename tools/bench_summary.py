@@ -7,17 +7,20 @@ the interquartile range and the count of each side, and for the end-to-end
 metrics the seeds both sides ran: how many of those pairs the change won,
 the ratio of the medians and a ``verdict`` (see ``verdict``). The
 environment block of the runs is copied in as recorded, and ``source_size``
-holds the line and byte counts of ``src/tera/*.py`` in each checkout that
-has one (the directory holding its ``.bench_out/``). Usage, from the root
-of a checkout:
+holds the line, byte and code-line counts of ``src/tera/*.py`` in each
+checkout that has one (the directory holding its ``.bench_out/``). Usage,
+from the root of a checkout:
 
     python3 tools/bench_summary.py PARENT/.bench_out CHANGE/.bench_out --out BENCH.json
 """
 
 import argparse
+import ast
+import io
 import json
 import statistics
 import sys
+import tokenize
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
@@ -35,14 +38,31 @@ def load_runs(directory):
     return runs
 
 
+def code_lines(source):
+    """The lines of Python ``source`` that hold code: not blank, and not
+    only a comment or a string statement (a docstring)."""
+    strings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Expr) and isinstance(getattr(node.value, "value", None), str):
+            strings.update(range(node.lineno, node.end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                            tokenize.DEDENT, tokenize.ENDMARKER):
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - strings)
+
+
 def source_size(directory):
-    """``{"lines", "bytes"}`` of ``src/tera/*.py`` in the checkout that holds
-    the ``.bench_out/`` ``directory``, or None when it has no such files."""
+    """``{"lines", "bytes", "code_lines"}`` of ``src/tera/*.py`` in the
+    checkout that holds the ``.bench_out/`` ``directory``, or None when it
+    has no such files."""
     files = list((Path(directory).resolve().parent / "src" / "tera").glob("*.py"))
     if not files:
         return None
     texts = [p.read_bytes() for p in files]
-    return {"lines": sum(t.count(b"\n") for t in texts), "bytes": sum(map(len, texts))}
+    return {"lines": sum(t.count(b"\n") for t in texts), "bytes": sum(map(len, texts)),
+            "code_lines": sum(code_lines(t.decode()) for t in texts)}
 
 
 def spread(values):
