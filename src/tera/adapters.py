@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import TensorizationScheme, kron_chain, mode_n_product, unfold
+from .tensor_ops import TensorizationScheme, _mode_product, kron_chain, unfold
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -230,16 +230,22 @@ def _outer(stacks):
 
 def _scaled_core(core, d_stacks):
     """``(members,) + core.shape``: the core times each member's outer
-    product of its d vectors."""
-    return core * _outer(d_stacks).reshape((-1,) + core.shape)
+    product of its d vectors, on the core's mode-0 split ``(ranks[0],
+    rest)``: scaled by d_0 down its rows, then by the outer product of the
+    other modes' d vectors (``_outer``) along them, ``(C * d_0) * (d_1 x
+    d_2 ...)``. Both broadcasts run the long axis innermost."""
+    d0 = d_stacks[0]
+    scaled = core.reshape(len(core), -1) * d0[:, :, None]
+    scaled *= _outer(d_stacks[1:])[:, None, :]
+    return scaled.reshape((len(d0),) + core.shape)
 
 
 def _pull(tensor, matrices):
     """The stacked ``tensor`` times ``matrices[m]`` on every mode m (one
-    ``mode_n_product`` for all members); a None matrix costs nothing."""
+    mode product for all members); a None matrix costs nothing."""
     for m, matrix in enumerate(matrices):
         if matrix is not None:
-            tensor = mode_n_product(tensor, matrix, m + 1)
+            tensor = _mode_product(tensor, matrix, m + 1)
     return tensor
 
 
@@ -276,7 +282,8 @@ def _reduce_by_d_vectors(weighted, d_stacks, out=None):
 
     Contracting the modes before i from the left leaves a ``(ranks[i],
     rest)`` matrix, multiplied by the outer product of the d vectors after
-    i: O(order * core) in all. No division by d entries, so zero d vectors
+    i: O(order * core) in all; the last mode's contraction is written
+    straight into ``out[-1]``. No division by d entries, so zero d vectors
     are safe, and a zero slice of ``weighted`` gives an exactly zero entry.
     """
     members = len(weighted)
@@ -285,12 +292,12 @@ def _reduce_by_d_vectors(weighted, d_stacks, out=None):
     for d in reversed(d_stacks[1:-1]):
         suffixes.append(_outer([d, suffixes[-1]]))
     prefix = weighted
+    last = len(d_stacks) - 2
     for i, d in enumerate(d_stacks[:-1]):
         prefix = prefix.reshape(members, d.shape[1], -1)
         np.matmul(prefix, suffixes[-1 - i][..., None], out=out[i][..., None])
-        prefix = d[:, None, :] @ prefix
-    # the last mode has nothing after it: its gradient is the contraction
-    out[-1][...] = prefix.reshape(members, -1)
+        # the last mode has nothing after it: its gradient is the contraction
+        prefix = np.matmul(d[:, None, :], prefix, out=out[-1][:, None, :] if i == last else None)
     return out
 
 

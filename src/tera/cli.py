@@ -365,7 +365,6 @@ def cmd_verify(args):
 
 def cmd_ablate(args):
     _require(args, "schemes", "shape", "out")
-    out = _out_dir(args)
     j1, j2 = parse_shape(args.shape)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     swept = [f for f in families if f in ("tera", "tera_iden")]
@@ -383,6 +382,10 @@ def cmd_ablate(args):
             print(f"skipping scheme {spec!r}: {exc}", file=sys.stderr)
             continue
         schemes.append(scheme)
+    for name, left in (("scheme", schemes), ("tensor-network family", swept)):
+        if not left:
+            raise CliError(EXIT_CONFIG, f"no {name} to ablate")
+    out = _out_dir(args)
     rows = ablate_schemes(schemes, swept, cfg, args.targets,
                           master_seed=args.master_seed, target_seed=args.target_seed)
     rows = [(format_scheme(s), f, p, m) for s, f, p, m in rows]

@@ -246,9 +246,9 @@ def mode_n_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndar
     ``I_mode`` with ``J`` and leaves all other modes unchanged:
     ``out[..., j, ...] = sum_i tensor[..., i, ...] * matrix[j, i]``.
 
-    Computed as one ``np.matmul`` of ``matrix`` with the ``(before, I_mode,
-    after)`` view of the tensor, or as one GEMM when the mode is the last
-    one; the output is C-contiguous.
+    Checks its input (a negative ``mode`` counts from the end), then runs
+    ``_mode_product``, the one kernel, which callers inside the package with
+    shapes known to match call directly.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
@@ -259,7 +259,15 @@ def mode_n_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndar
             f"matrix has {matrix.shape[1]} columns but mode {mode} has size "
             f"{shape[mode]}"
         )
-    mode = range(len(shape))[mode]
+    return _mode_product(tensor, matrix, range(len(shape))[mode])
+
+
+def _mode_product(tensor, matrix, mode):
+    """``mode_n_product`` without its checks, for a 2-D ``matrix`` whose
+    columns match a non-negative ``mode``: one ``np.matmul`` of ``matrix``
+    with the ``(before, I_mode, after)`` view of the tensor, or one GEMM
+    when the mode is the last one; the output is C-contiguous."""
+    shape = tensor.shape
     before, after = math.prod(shape[:mode]), math.prod(shape[mode + 1 :])
     if after == 1:
         out = tensor.reshape(before, shape[mode]) @ matrix.T

@@ -165,7 +165,8 @@ class _Optimizer:
     starts as their copy, and ``grads`` those of the gradient buffer the
     objective writes. A step updates the whole buffer with one sequence of
     ufuncs into two scratch buffers, element for element the per-array
-    update.
+    update; at ``weight_decay`` 0 the decay term, an exact zero there, is
+    not formed.
     """
 
     def __init__(self, cfg: OptimizerConfig, arrays):
@@ -209,9 +210,10 @@ class _Optimizer:
             update = self._vel
             update *= b1
             update += g
-        update = np.add(update, np.multiply(flat, self.cfg.weight_decay, out=den), out=tmp)
-        update *= lr
-        flat -= update
+        if self.cfg.weight_decay:
+            update = np.add(update, np.multiply(flat, self.cfg.weight_decay, out=den), out=tmp)
+        # into tmp: sgd-momentum's update is the velocity, which must not scale
+        flat -= np.multiply(update, lr, out=tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +472,11 @@ def _recovery_objective(block, target):
     There the Grams G_m = F_m F_m^T and the pulled target T~ = fold(T) x_m
     F_m are formed once. A step forms S = C * (outer product of the d
     vectors) and P = S x_m G_m - T~, the residual delta - T pulled through
-    every factor: the loss is (<S, P - T~> + ||T||^2) / 2, and the gradients
-    are the reduction of C * P. The delta is never formed; the expanded loss
-    carries about eps * ||T||^2 of absolute rounding.
+    every factor, weights it by the core in place and reduces C * P to the
+    gradients. Mode 0's is g_0 = C * P contracted with every other d vector,
+    so <S, P> = <d_0, g_0> and the loss is (<d_0, g_0> - <S, T~> + ||T||^2)
+    / 2. The delta is never formed; the expanded loss carries about eps *
+    ||T||^2 of absolute rounding.
     """
     network = block.adapters[0].network()
     if network is None:
@@ -491,9 +495,10 @@ def _recovery_objective(block, target):
     def objective():
         s = _scaled_core(core, block.params)
         p = _pull(s, grams) - pulled
-        loss = 0.5 * (float(np.vdot(s, p - pulled)) + target_sq)
-        _reduce_by_d_vectors(core * p, block.params, out=block.grads)
-        return loss, {}
+        p *= core
+        _reduce_by_d_vectors(p, block.params, out=block.grads)
+        s_p = float(np.vdot(block.params[0], block.grads[0]))
+        return 0.5 * (s_p - float(np.vdot(s, pulled)) + target_sq), {}
 
     return objective
 

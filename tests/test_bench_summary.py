@@ -12,10 +12,10 @@ bench_summary = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_summary)
 
 
-def write_result(directory, seed, jobs_per_s, failed=0):
+def write_result(directory, seed, jobs_per_s, failed=0, attempted=10):
     directory.mkdir(exist_ok=True)
     doc = {
-        "correct": failed == 0, "attempted": 10, "failed": failed,
+        "correct": failed == 0, "attempted": attempted, "failed": failed,
         "metrics": {"jobs_per_s": {"value": jobs_per_s, "unit": "1/s"},
                     "job_ms_p50": {"value": 1000 / jobs_per_s, "unit": "ms"}},
         "details": {"workload": "recovery_sweep", "seed": seed, "trace": 0,
@@ -35,6 +35,7 @@ def test_medians_iqr_and_pair_wins(tmp_path):
     assert doc["environment"] == {"numpy": "x"}
     run = doc["workloads"]["recovery_sweep"]["trace0"]
     assert run["failed"] == {"parent": 0, "change": 1}
+    assert run["attempted"] == {"parent": 40, "change": 40}
     jobs = run["metrics"]["jobs_per_s"]
     assert jobs["parent"] == {"median": 3.5, "iqr": 1.5, "n": 4}
     assert jobs["change"]["median"] == 5.5
@@ -100,12 +101,13 @@ def test_verdicts(change, better, bound, want):
                                  NONE_FAILED) == want
 
 
-def test_no_gain_when_the_change_failed_more_jobs():
+def test_no_gain_when_the_change_failed_a_larger_share():
     change = [x * 1.1 for x in PARENT]
     e = entry(PARENT, change)
-    assert bench_summary.verdict(e, PARENT, change, 0.25, {"parent": 0, "change": 1}) \
+    assert bench_summary.verdict(e, PARENT, change, 0.25, {"parent": 0, "change": 0.1}) \
         == "no_worse"
-    assert bench_summary.verdict(e, PARENT, change, 0.25, {"parent": 2, "change": 2}) == "gain"
+    assert bench_summary.verdict(e, PARENT, change, 0.25, {"parent": 0.2, "change": 0.2}) \
+        == "gain"
 
 
 def test_a_change_above_every_parent_run_is_resolved():
@@ -136,3 +138,24 @@ def test_every_end_to_end_metric_gets_a_verdict(tmp_path):
     bench_summary.main([str(parent), str(change), "--out", str(out)])
     metrics = json.loads(out.read_text())["workloads"]["recovery_sweep"]["trace0"]["metrics"]
     assert metrics["jobs_per_s"]["verdict"] == "no_worse"
+
+
+def test_the_same_failed_share_of_more_jobs_keeps_the_gain(tmp_path):
+    # a faster change attempts twice the jobs: 2 of 200 failed is the
+    # parent's 1 of 100, though the count doubled; a third failure is not
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(10):
+        write_result(parent, seed, 2.0 + 0.01 * seed, failed=int(seed == 0))
+        write_result(change, seed, 2.4 + 0.01 * seed, failed=2 * int(seed == 0), attempted=20)
+    out = tmp_path / "BENCH.json"
+
+    def summary():
+        bench_summary.main([str(parent), str(change), "--out", str(out)])
+        return json.loads(out.read_text())["workloads"]["recovery_sweep"]["trace0"]
+
+    run = summary()
+    assert (run["failed"], run["attempted"]) == ({"parent": 1, "change": 2},
+                                                 {"parent": 100, "change": 200})
+    assert run["metrics"]["jobs_per_s"]["verdict"] == "gain"
+    write_result(change, 1, 2.41, failed=1, attempted=20)
+    assert summary()["metrics"]["jobs_per_s"]["verdict"] == "no_worse"

@@ -705,10 +705,23 @@ class TestAblate:
 
     def test_skipped_family_warned_when_no_scheme_parses(self, tmp_path, capsys):
         out = tmp_path / "abl"
-        main(["ablate", "--schemes", "bad", "--shape", "16x16", "--families", "tera,lora",
-              "--targets", "1", "--out", str(out)])
+        rc = main(["ablate", "--schemes", "bad", "--shape", "16x16", "--families", "tera,lora",
+                   "--targets", "1", "--out", str(out)])
+        assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "skipping scheme 'bad'" in err and err.count("skipping family 'lora'") == 1
+        assert err.splitlines()[-1] == "error: no scheme to ablate"
+        assert not out.exists()
+
+    def test_no_tensor_network_family_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "abl"
+        rc = main(["ablate", "--schemes", "16|4,4", "--shape", "16x16", "--families", "lora",
+                   "--targets", "1", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.count("skipping family 'lora'") == 1
+        assert err.splitlines()[-1] == "error: no tensor-network family to ablate"
+        assert not out.exists()
 
     def test_targets_below_one_exit_2(self, tmp_path, capsys):
         out = tmp_path / "abl"

@@ -27,6 +27,9 @@ from hypothesis import strategies as st
 from tera.adapters import (
     FrozenFactorStore,
     _design_matrices,
+    _mode_sizes,
+    _pull,
+    _reduce_by_d_vectors,
     _scaled_core,
     _stacked,
     apply_delta,
@@ -42,6 +45,7 @@ from tera.tensor_ops import (
     TensorizationScheme,
     fold,
     format_scheme,
+    mode_n_product,
     parse_scheme,
     tensor_spectral_norm,
     unfold,
@@ -193,13 +197,61 @@ def test_rank_space_recovery_matches_the_materialized_objective(a, zeroed):
 @PROPERTY
 @given(network_adapter)
 def test_scaled_core_multiplies_the_d_vectors_from_the_left(a):
-    # bit for bit ((d_0 x d_1) x d_2) ..., the association every fit's
-    # rounding was recorded with, for each member of a stack
+    # bit for bit (C * d_0) * ((d_1 x d_2) x ...), the association every
+    # fit's rounding was recorded with, for each member of a stack
     core, _, d_vectors = a.network()
-    stacks = [np.stack([d, 2.0 * d]) for d in d_vectors]
+    stacks = [np.stack([d, 1.7 * d]) for d in d_vectors]
     for s, scaled in enumerate(_scaled_core(core, stacks)):
+        rows = core * stacks[0][s].reshape((-1,) + (1,) * (core.ndim - 1))
         np.testing.assert_array_equal(
-            scaled, core * reduce(np.multiply.outer, [d[s] for d in stacks]))
+            scaled, rows * reduce(np.multiply.outer, [d[s] for d in stacks[1:]]))
+
+
+@PROPERTY
+@given(network_adapter, st.integers(1, 3))
+def test_pull_is_the_chain_of_mode_products(a, members):
+    # the kernel _pull runs against the checked public product, bit for bit:
+    # an upstream stack through the factors, a core stack through the Grams
+    core, factors, _ = a.network()
+    rng = np.random.default_rng(members)
+    grams = [None if f is None else f @ f.T for f in factors]
+    for shape, matrices in ((_mode_sizes(core, factors), factors), (core.shape, grams)):
+        t = rng.standard_normal((members, *shape))
+        want = t
+        for m, matrix in enumerate(matrices):
+            if matrix is not None:
+                want = mode_n_product(want, matrix, m + 1)
+        np.testing.assert_array_equal(_pull(t, matrices), want)
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=6), st.integers(1, 3),
+       st.integers(-1, 5), st.integers(0, 2**16))
+def test_reduction_into_views_equals_the_fresh_one(ranks, members, zeroed, seed):
+    # out= views of one buffer, contiguous as the optimizer hands them over
+    # or strided member by member, get the same bits as fresh arrays; a
+    # zeroed d vector included; both match the contraction spelled out by
+    # einsum
+    rng = np.random.default_rng(seed)
+    weighted = rng.standard_normal((members, *ranks))
+    d_stacks = [rng.standard_normal((members, r)) for r in ranks]
+    if zeroed < len(ranks):
+        d_stacks[zeroed][:] = 0.0
+    fresh = _reduce_by_d_vectors(weighted, d_stacks)
+    for views in (training._views(np.full(members * sum(ranks), np.nan),
+                                  [(members, r) for r in ranks]),
+                  training._views(np.full((members, sum(ranks)), np.nan),
+                                  [(r,) for r in ranks])):
+        got = _reduce_by_d_vectors(weighted, d_stacks, out=views)
+        assert all(g is v for g, v in zip(got, views, strict=True))
+        for g, f in zip(got, fresh, strict=True):
+            np.testing.assert_array_equal(g, f)
+    letters = "abcdef"[:len(ranks)]
+    for i, f in enumerate(fresh):
+        others = [f"s{c}" for j, c in enumerate(letters) if j != i]
+        spec = f"s{letters},{','.join(others)}->s{letters[i]}"
+        want = np.einsum(spec, weighted, *[d for j, d in enumerate(d_stacks) if j != i])
+        np.testing.assert_allclose(f, want, rtol=1e-12, atol=1e-12 * np.abs(weighted).sum())
 
 
 @st.composite

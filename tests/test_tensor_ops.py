@@ -160,6 +160,21 @@ class TestModeProduct:
         with pytest.raises(ValueError):
             mode_n_product(np.zeros((2, 3)), np.zeros((4, 5)), 1)
 
+    @pytest.mark.parametrize("matrix, mode, error, match", [
+        (np.zeros(3), 1, ValueError, "2-D matrix"),
+        (np.zeros((1, 4, 3)), 1, ValueError, "2-D matrix"),
+        (np.zeros((4, 3)), 2, IndexError, ""),
+        (np.zeros((4, 3)), -3, IndexError, ""),
+    ])
+    def test_rejects_invalid_input(self, matrix, mode, error, match):
+        with pytest.raises(error, match=match):
+            mode_n_product(np.zeros((2, 3)), matrix, mode)
+
+    def test_negative_mode_counts_from_the_end(self):
+        rng = np.random.default_rng(7)
+        t, b = integer_tensor(rng, (2, 3, 4)), integer_tensor(rng, (5, 3))
+        assert_array_equal(mode_n_product(t, b, -2), mode_n_product(t, b, 1))
+
 
 def tucker_product(core, mats):
     # core x_1 mats[0] x_2 mats[1] ... as a loop of mode products

@@ -508,15 +508,19 @@ class TestFitRecovery:
         report = fit_recovery(adapter, task, self.cfg(max_steps=2))
         assert report.config["family"] == family
 
+    @pytest.mark.parametrize("algorithm", ["adamw", "sgd-momentum"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])  # 0.0: no decay term formed
     @pytest.mark.parametrize("family", ["tera", "tera_iden", "lora", "vera", "hira"])
-    def test_loss_curve_matches_the_per_array_oracle(self, monkeypatch, family):
+    def test_loss_curve_matches_the_per_array_oracle(self, monkeypatch, family, weight_decay,
+                                                     algorithm):
         def fit():
             adapter = training.build_adapter(
                 family, 16, 16, store=FrozenFactorStore(4),
                 scheme=TensorizationScheme((4, 4, 4, 4), split=2), rank=3,
                 w0=synthetic_base_weight(16, 16, 4))
             report = fit_recovery(adapter, gaussian_recovery_task(16, 16, seed=4),
-                                  self.cfg(max_steps=200, weight_decay=0.01))
+                                  self.cfg(algorithm=algorithm, max_steps=200,
+                                           weight_decay=weight_decay))
             return report.loss_curve, adapter.trainable_arrays()
 
         # the optimizer's interface: params and grads views, and step()

@@ -2,10 +2,11 @@
 
 Each checkout runs ``perfbench/run.py`` with the same seeds, which leaves one
 ``result_<workload>_seed<N>_trace<T>.json`` per run in its ``.bench_out/``.
-Given the two directories, this writes, per workload and metric, the median,
-the interquartile range and the count of each side, and for the end-to-end
-metrics the seeds both sides ran: how many of those pairs the change won,
-the ratio of the medians and a ``verdict`` (see ``verdict``). The
+Given the two directories, this writes, per workload, each side's counts of
+attempted and failed jobs and, per metric, the median, the interquartile
+range and the count of each side, and for the end-to-end metrics the seeds
+both sides ran: how many of those pairs the change won, the ratio of the
+medians and a ``verdict`` (see ``verdict``). The
 environment block of the runs is copied in as recorded, and ``source_size``
 holds the line, byte and code-line counts of ``src/tera/*.py`` in each
 checkout that has one (the directory holding its ``.bench_out/``). Usage,
@@ -77,9 +78,10 @@ def spread(values):
 def verdict(entry, parent, change, bound, failed):
     """``gain``, ``worse``, ``unresolved`` or ``no_worse`` for one
     end-to-end metric, from its summary ``entry``, each side's runs and
-    each side's count of failed jobs (``failed``).
+    each side's share of its attempted jobs that failed (``failed``).
 
-    ``gain``: the change failed no more jobs than the parent, won at least
+    ``gain``: the change failed no larger a share of its jobs than the
+    parent (a faster change attempts more), won at least
     nine tenths of the pairs (ties count for neither) and its median is
     better than the parent's by more than the parent's interquartile
     range. ``worse``: its median is worse than
@@ -109,9 +111,11 @@ def summarize(parent, change, better):
     maps the end-to-end metrics to their ``BENCHMARK.json`` entries."""
     names = sorted(set.intersection(*(set(doc["metrics"]) for side in (parent, change)
                                       for doc in side.values())))
-    out = {"failed": {"parent": sum(d["failed"] for d in parent.values()),
-                      "change": sum(d["failed"] for d in change.values())},
-           "metrics": {}}
+    sides = {"parent": parent, "change": change}
+    out = {key: {side: sum(d[key] for d in runs.values()) for side, runs in sides.items()}
+           for key in ("attempted", "failed")}
+    out["metrics"] = {}
+    shares = {side: out["failed"][side] / max(out["attempted"][side], 1) for side in sides}
     for name in names:
         values = [{seed: d["metrics"][name]["value"] for seed, d in side.items()}
                   for side in (parent, change)]
@@ -129,7 +133,7 @@ def summarize(parent, change, better):
             entry["median_ratio"] = entry["change"]["median"] / base if base else None
             entry["verdict"] = verdict(entry, list(values[0].values()),
                                        list(values[1].values()), better[name]["bound"],
-                                       out["failed"])
+                                       shares)
         out["metrics"][name] = entry
     return out
 
